@@ -8,8 +8,7 @@
 //            RemoteEngine connection (protocol v3, BATCH frames when
 //            --batch > 1)
 //   sharded  all clients share one in-process ShardedTtkv (grouped shard
-//            locking when --batch > 1)
-//   local    all clients share one LocalEngine (one mutex)
+//            locking when --batch > 1; --shards 1 = one TTKV, one lock)
 //   durable  a write-ahead-logged DurableEngine over ShardedTtkv in a
 //            fresh temp dir (or --data-dir); --fsync off|batch|always
 //            picks the durability policy under test
@@ -73,7 +72,6 @@
 #include "server/wire.h"
 #include "api/engine.h"
 #include "persist/durable_engine.h"
-#include "api/local_engine.h"
 #include "api/remote_engine.h"
 #include "bench_util.h"
 #include "common/error.h"
@@ -265,9 +263,6 @@ RunMetrics RunOne(const LoadGenConfig& cfg) {
     }
   } else if (cfg.backend == "sharded") {
     shared_engine = std::make_unique<ShardedTtkv>(cfg.shards, 1.0, registry.get());
-  } else if (cfg.backend == "local") {
-    shared_engine = std::make_unique<api::LocalEngine>(
-        api::LocalEngine::Options{.cluster_window_seconds = 1.0, .metrics = registry.get()});
   } else if (cfg.backend == "durable") {
     // A fresh data dir per run unless pinned: recovering a previous run's
     // log would skew the measurement.
@@ -328,7 +323,8 @@ RunMetrics RunOne(const LoadGenConfig& cfg) {
     }
   } else {
     throw Error("unknown backend: " + cfg.backend +
-                " (expected local|sharded|remote|durable|replicated)");
+                " (expected sharded|remote|durable|replicated; a single-store engine is "
+                "--backend sharded --shards 1)");
   }
 
   if (!bench::QuietFlag()) {

@@ -1,6 +1,5 @@
 #include "api/backends.h"
 
-#include "api/local_engine.h"
 #include "api/remote_engine.h"
 #include "common/error.h"
 #include "persist/durable_engine.h"
@@ -8,37 +7,15 @@
 
 namespace ocasta::api {
 
-namespace {
-
-// Builds the in-process engine the durable decorator wraps — from recovered
-// state when a snapshot/log exists, from the empty TTKV on first boot.
-persist::DurableEngine::InnerFactory InnerFactoryFor(const BackendOptions& options) {
-  if (options.backend == "local") {
-    return [options](TTKV recovered) -> std::unique_ptr<Engine> {
-      return std::make_unique<LocalEngine>(
-          std::move(recovered),
-          LocalEngine::Options{.cluster_window_seconds = options.cluster_window_seconds,
-                               .metrics = options.metrics});
-    };
-  }
-  return [options](TTKV recovered) -> std::unique_ptr<Engine> {
-    auto engine = std::make_unique<ShardedTtkv>(options.num_shards,
-                                                options.cluster_window_seconds, options.metrics);
-    engine->ImportSnapshot(recovered);
-    return engine;
-  };
-}
-
-}  // namespace
-
 std::unique_ptr<Engine> MakeEngine(const BackendOptions& options) {
-  if (options.backend != "local" && options.backend != "sharded" &&
-      options.backend != "remote") {
-    throw Error("unknown backend: " + options.backend + " (expected local|sharded|remote)");
+  if (options.backend != "sharded" && options.backend != "remote") {
+    throw Error("unknown backend: " + options.backend +
+                " (expected sharded|remote; a single-store engine is --backend sharded "
+                "--shards 1)");
   }
   if (!options.data_dir.empty()) {
     if (options.backend == "remote") {
-      throw Error("--data-dir requires a local or sharded backend "
+      throw Error("--data-dir requires the sharded backend "
                   "(the daemon owns durability for remote clients)");
     }
     persist::DurableOptions durable;
@@ -48,13 +25,17 @@ std::unique_ptr<Engine> MakeEngine(const BackendOptions& options) {
     durable.checkpoint_wal_bytes = options.checkpoint_wal_bytes;
     durable.checkpoint_interval_seconds = options.checkpoint_interval_seconds;
     durable.commit_gate = options.commit_gate;
-    return std::make_unique<persist::DurableEngine>(options.data_dir,
-                                                    InnerFactoryFor(options), durable);
-  }
-  if (options.backend == "local") {
-    return std::make_unique<LocalEngine>(
-        LocalEngine::Options{.cluster_window_seconds = options.cluster_window_seconds,
-                             .metrics = options.metrics});
+    // The wrapped engine is built from recovered state (the empty TTKV on
+    // first boot).
+    return std::make_unique<persist::DurableEngine>(
+        options.data_dir,
+        [options](TTKV recovered) -> std::unique_ptr<Engine> {
+          auto engine = std::make_unique<ShardedTtkv>(
+              options.num_shards, options.cluster_window_seconds, options.metrics);
+          engine->ImportSnapshot(recovered);
+          return engine;
+        },
+        durable);
   }
   if (options.backend == "sharded") {
     return std::make_unique<ShardedTtkv>(options.num_shards, options.cluster_window_seconds,

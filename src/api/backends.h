@@ -1,7 +1,7 @@
 // Runtime backend selection: one factory mapping a --backend flag to an
 // api::Engine implementation, so the CLI, the benches, and embedding code
-// pick local / sharded / remote without compile-time knowledge of any of
-// them.
+// pick sharded (in-process) or remote without compile-time knowledge of
+// either.
 #pragma once
 
 #include <cstdint>
@@ -15,19 +15,17 @@
 namespace ocasta::api {
 
 struct BackendOptions {
-  std::string backend = "remote";  // "local" | "sharded" | "remote".
+  std::string backend = "remote";  // "sharded" | "remote".
 
-  // sharded backend.
+  // sharded backend (1 shard = one TTKV behind one lock).
   size_t num_shards = 8;
-
-  // local + sharded backends.
   double cluster_window_seconds = 1.0;
 
   // remote backend.
   std::string host = "127.0.0.1";
   uint16_t port = 7341;
 
-  // Durability (local + sharded backends). A non-empty data_dir wraps the
+  // Durability (sharded backend). A non-empty data_dir wraps the
   // engine in persist::DurableEngine: write-ahead logged, crash-recovered
   // from <data_dir>/snap-*.ttkv + wal-*.log. The remote backend rejects it
   // — durability lives in the daemon, not the client.
@@ -40,7 +38,7 @@ struct BackendOptions {
   // acks); only meaningful with a data_dir.
   std::function<void(uint64_t lsn)> commit_gate;
 
-  // Optional instrumentation for the local/sharded engine AND (when
+  // Optional instrumentation for the sharded engine AND (when
   // durable) the WAL; must outlive the engine. Null = metrics off. The
   // remote backend ignores it — the daemon owns its own registry.
   obs::MetricsRegistry* metrics = nullptr;

@@ -1,8 +1,8 @@
 // The typed Command/Result vocabulary of the TTKV engine API.
 //
-// Every operation the system supports — locally against one TTKV, against
-// the sharded in-process engine, or remotely over the ocastad wire protocol
-// — is one Command alternative, and every reply is one Result alternative.
+// Every operation the system supports — in process against ShardedTtkv
+// (one shard or many) or remotely over the ocastad wire protocol — is one
+// Command alternative, and every reply is one Result alternative.
 // Backends implement api::Engine (engine.h) over this vocabulary, and the
 // wire protocol is generated from it (codec.h), so adding an op means
 // adding one struct here plus one codec entry instead of touching the

@@ -1,10 +1,13 @@
 // The abstract TTKV engine interface every backend implements.
 //
-// Three implementations ship today:
-//   LocalEngine   (api/local_engine.h)  — one in-process TTKV + a mutex.
-//   ShardedTtkv   (server/sharded_ttkv.h) — N mutex-striped shards; the
-//                                        engine behind the ocastad daemon.
-//   RemoteEngine  (api/remote_engine.h) — a TtkvClient speaking protocol v3.
+// Two implementations ship today, plus a decorator:
+//   ShardedTtkv     (server/sharded_ttkv.h)   — the in-process engine: N
+//                                             lock-striped TTKV shards
+//                                             (N = 1 is one TTKV, one lock);
+//                                             the engine behind ocastad.
+//   RemoteEngine    (api/remote_engine.h)     — a TtkvClient speaking the
+//                                             wire protocol.
+//   DurableEngine   (persist/durable_engine.h) — a WAL over ShardedTtkv.
 // All of them answer the same Command vocabulary, so the CLI, the benches,
 // RemoteStore, and every future layer (async server, replication, caching)
 // are written once against Engine and pick a backend at runtime
@@ -34,7 +37,7 @@ class Engine {
   // RemoteEngine ships the whole span as a single BATCH frame).
   virtual std::vector<Result> ApplyBatch(std::span<const Command> cmds);
 
-  // Stable backend identifier ("local", "sharded", "remote").
+  // Stable backend identifier ("sharded", "remote", "durable").
   virtual const char* backend_name() const = 0;
 };
 

@@ -17,14 +17,16 @@ namespace ocasta {
 struct EngineStats {
   TtkvStats ttkv;
   size_t num_shards = 0;
-  // Op totals since engine construction. Freshness contract: counts are
-  // kept in relaxed atomics and, on the sharded engine, flushed once per
-  // command run rather than per command — so a STATS racing in-flight
+  // Op totals since engine construction, read from the engine's one
+  // counter per op — the very ocasta_engine_ops_total{op=...} counters
+  // the metrics registry exports, so the two agree by construction.
+  // Freshness contract: counts are relaxed atomics flushed once per
+  // command run rather than per command, so a STATS racing in-flight
   // traffic may miss ops still inside their run (each op is missing for
   // at most one run, never lost). On a QUIESCED engine (every prior Apply
-  // returned, none in flight) the totals are exact and equal the
-  // ocasta_engine_ops_total{op=...} metrics counters, which increment at
-  // the same flush sites (asserted by ObsEngine.QuiescedStatsMatch).
+  // returned, none in flight) the totals are exact (asserted by
+  // ObsEngine.QuiescedStatsMatch). A durable engine adds the totals
+  // persisted in its snapshot (docs/DURABILITY.md).
   uint64_t puts = 0;
   uint64_t gets = 0;
   uint64_t deletes = 0;

@@ -2,8 +2,8 @@
 //
 // Plugs a TTKV engine into everything built on ConfigStore: the
 // interception decorator, the flush-diff logger, and the repair sandbox
-// all work against the daemon (api::RemoteEngine), the sharded in-process
-// engine, or a plain LocalEngine unchanged — the way the paper's recorders
+// all work against the daemon (api::RemoteEngine) or the in-process
+// ShardedTtkv (one shard or many) unchanged — the way the paper's recorders
 // all talk to one shared Redis server. Current state is the engine's
 // latest live values; Remove tombstones (history is preserved engine-side,
 // and the non-force DeleteCmd policy applies: removing an absent key

@@ -289,7 +289,6 @@ using condvar = std::condition_variable_any;
 inline constexpr LockClass kDurableCheckpointClass{"DurableEngine::checkpoint_mu_", 10};
 inline constexpr LockClass kReplicaFollowerClass{"replica::Follower::mu_", 15};
 inline constexpr LockClass kDurableMutateClass{"DurableEngine::mu_", 20};
-inline constexpr LockClass kLocalEngineClass{"LocalEngine::mu_", 30};
 inline constexpr LockClass kTrackerClass{"ShardedTtkv::tracker_mu_", 40};
 inline constexpr LockClass kShardClass{"ShardedTtkv::Shard::mu", 50};
 inline constexpr LockClass kWalAppendClass{"Wal::append_mu_", 60};
@@ -303,8 +302,9 @@ inline constexpr LockClass kDurableWakeClass{"DurableEngine::wake_mu_", 95};
 inline constexpr LockClass kReplicationHubClass{"replica::ReplicationHub::mu_", 96};
 // Metrics registry registration/snapshot path (src/obs/metrics.h). A leaf
 // with a high rank because Snapshot() may run while an engine lock is held
-// (LocalEngine answers METRICS under mu_); nothing is ever acquired under
-// it — the record hot path is pure relaxed atomics and never sees it.
+// (a METRICS inside a logged batch runs under DurableEngine::mu_); nothing
+// is ever acquired under it — the record hot path is pure relaxed atomics
+// and never sees it.
 inline constexpr LockClass kObsRegistryClass{"obs::MetricsRegistry::mu_", 97};
 
 }  // namespace ocasta::lockdep

@@ -1,5 +1,7 @@
 #include "common/time.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 namespace ocasta {
@@ -27,6 +29,25 @@ std::string FormatTimestamp(TimeMicros t) {
                 static_cast<long long>(day), static_cast<long long>(hours),
                 static_cast<long long>(minutes), static_cast<long long>(seconds));
   return buf;
+}
+
+TimeMicros StampClock::Next(size_t count) {
+  const TimeMicros wall = std::chrono::duration_cast<std::chrono::microseconds>(
+                              std::chrono::system_clock::now().time_since_epoch())
+                              .count();
+  const auto span = static_cast<TimeMicros>(count);
+  TimeMicros prev = last_.load(std::memory_order_relaxed);
+  TimeMicros next;
+  do {
+    next = std::max(wall, prev + 1) + span - 1;
+  } while (!last_.compare_exchange_weak(prev, next, std::memory_order_relaxed));
+  return next - span + 1;
+}
+
+void StampClock::AdvanceTo(TimeMicros t) {
+  TimeMicros prev = last_.load(std::memory_order_relaxed);
+  while (prev < t && !last_.compare_exchange_weak(prev, t, std::memory_order_relaxed)) {
+  }
 }
 
 }  // namespace ocasta

@@ -7,6 +7,8 @@
 // source of the window-size artifact in Figure 3a).
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -55,6 +57,24 @@ class SimClock {
 
  private:
   TimeMicros now_;
+};
+
+// The engines' stamp clock for operations sent with timestamp 0: stamps
+// follow the wall clock (microseconds since the Unix epoch) but strictly
+// increase, even when the wall clock stalls or steps back. Lock-free and
+// safe to share between threads.
+class StampClock {
+ public:
+  // Reserves `count` (>= 1) consecutive stamps with one CAS and returns
+  // the first. Every stamp exceeds all earlier ones and every AdvanceTo.
+  TimeMicros Next(size_t count = 1);
+
+  // Moves the clock to at least `t`, so restored or replicated history is
+  // never stamped over.
+  void AdvanceTo(TimeMicros t);
+
+ private:
+  std::atomic<TimeMicros> last_{0};
 };
 
 }  // namespace ocasta

@@ -1,8 +1,11 @@
 #include "logger/trace.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 #include <iterator>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "common/error.h"
@@ -109,6 +112,21 @@ std::string TraceLog::ToText() const {
   return out;
 }
 
+namespace {
+
+// The whole field as a base-10 integer in [lo, hi]; nullopt otherwise.
+std::optional<int64_t> ParseInRange(const std::string& field, int64_t lo, int64_t hi) {
+  int64_t value = 0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (field.empty() || ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
+
 TraceLog TraceLog::ParseText(const std::string& text) {
   TraceLog log;
   size_t line_no = 0;
@@ -119,13 +137,27 @@ TraceLog TraceLog::ParseText(const std::string& text) {
     if (fields.size() != 7) {
       throw ParseError("trace line needs 7 tab-separated fields", line_no, 1);
     }
+    // Numeric fields parse strictly; an error names the field and the
+    // column where it starts.
+    const auto number = [&](size_t i, const char* name, int64_t lo, int64_t hi) {
+      if (const std::optional<int64_t> value = ParseInRange(fields[i], lo, hi)) return *value;
+      size_t column = 1;
+      for (size_t j = 0; j < i; ++j) column += fields[j].size() + 1;
+      throw ParseError("trace " + std::string(name) + " is not an integer in [" +
+                           std::to_string(lo) + ", " + std::to_string(hi) + "]: '" + fields[i] +
+                           "'",
+                       line_no, column);
+    };
     AccessEvent event;
-    event.timestamp = std::strtoll(fields[0].c_str(), nullptr, 10);
+    event.timestamp = number(0, "timestamp", std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max());
     event.app = UnescapeField(fields[1], '\t');
-    event.store = static_cast<StoreKind>(std::strtol(fields[2].c_str(), nullptr, 10));
-    event.op = static_cast<AccessOp>(std::strtol(fields[3].c_str(), nullptr, 10));
+    event.store = static_cast<StoreKind>(
+        number(2, "store kind", 0, static_cast<int64_t>(StoreKind::kFile)));
+    event.op = static_cast<AccessOp>(number(3, "op", 0, static_cast<int64_t>(AccessOp::kDelete)));
     event.key = UnescapeField(fields[4], '\t');
-    const auto type = static_cast<ValueType>(std::strtol(fields[5].c_str(), nullptr, 10));
+    const auto type = static_cast<ValueType>(
+        number(5, "value type", 0, static_cast<int64_t>(ValueType::kStringList)));
     event.value = Value::ParseDisplay(type, UnescapeField(fields[6], '\t'));
     log.events_.push_back(std::move(event));
   }

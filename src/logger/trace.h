@@ -55,7 +55,8 @@ class TraceLog final : public AccessSink {
   TraceStats Stats() const;
 
   // Tab-separated text form, one event per line (fields are escaped).
-  // Round-trips exactly through ParseText.
+  // Round-trips exactly through ParseText, which throws ParseError (with
+  // line and column) on a malformed line or numeric field.
   std::string ToText() const;
   static TraceLog ParseText(const std::string& text);
 

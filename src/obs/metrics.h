@@ -20,10 +20,10 @@
 //
 // Locking: registration and Snapshot() serialize on one ordered_mutex
 // (lockdep rank kObsRegistryClass = 97 — above every engine/WAL/loop
-// lock because LocalEngine answers METRICS while holding its engine
-// mutex; nothing is ever acquired under it). The record path — Counter::
-// Inc, Gauge::Set, LatencyHistogram::Record — never sees this mutex:
-// it is purely relaxed atomics on pre-resolved handles.
+// lock because a METRICS inside a logged batch is answered under
+// DurableEngine::mu_; nothing is ever acquired under it). The record
+// path — Counter::Inc, Gauge::Set, LatencyHistogram::Record — never sees
+// this mutex: it is purely relaxed atomics on pre-resolved handles.
 //
 // There is deliberately no global default registry: the daemon creates
 // one in ServerOptions and threads it through engine / WAL / event loop,

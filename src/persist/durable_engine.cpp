@@ -143,11 +143,11 @@ DurableEngine::DurableEngine(std::string data_dir, InnerFactory factory, Durable
   recovery_.snapshot_lsn = snapshot_lsn;
   recovery_.dropped_bytes = wal_.recovered_dropped_bytes();
 
-  // 2. Restore the monotonic clock past everything recovered, so fresh
-  //    engine-assigned stamps never collide with replayed history.
-  int64_t clock = 0;
+  // 2. Restore the stamp clock past everything recovered (the snapshot
+  //    here, replayed records below), so fresh engine-assigned stamps
+  //    never collide with restored history.
   for (uint32_t id = 0; id < snapshot.num_keys(); ++id) {
-    clock = std::max<int64_t>(clock, snapshot.record(id).last_modified());
+    clock_.AdvanceTo(snapshot.record(id).last_modified());
   }
 
   // 3. Inner engine from the snapshot, then replay strictly PAST the
@@ -184,12 +184,11 @@ DurableEngine::DurableEngine(std::string data_dir, InnerFactory factory, Durable
         continue;
       }
       const api::Command cmd = api::DecodeCommand(record.payload);
-      clock = std::max<int64_t>(clock, MaxTimestampOf(cmd));
+      clock_.AdvanceTo(MaxTimestampOf(cmd));
       inner_->Apply(cmd);
       ++recovery_.replayed;
     }
   }
-  clock_.store(clock, std::memory_order_relaxed);
   checkpointed_lsn_ = snapshot_lsn;
 
   // 4. Background checkpointing, when any trigger is configured.
@@ -211,25 +210,13 @@ DurableEngine::~DurableEngine() {
   }
 }
 
-TimeMicros DurableEngine::StampNow() {
-  const int64_t wall = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::system_clock::now().time_since_epoch())
-                           .count();
-  int64_t prev = clock_.load(std::memory_order_relaxed);
-  int64_t next;
-  do {
-    next = std::max(wall, prev + 1);
-  } while (!clock_.compare_exchange_weak(prev, next, std::memory_order_relaxed));
-  return next;
-}
-
 void DurableEngine::Stamp(api::Command* cmd) {
   if (auto* put = std::get_if<api::PutCmd>(&cmd->op)) {
-    if (put->timestamp == 0) put->timestamp = StampNow();
+    if (put->timestamp == 0) put->timestamp = clock_.Next();
     return;
   }
   if (auto* del = std::get_if<api::DeleteCmd>(&cmd->op)) {
-    if (del->timestamp == 0) del->timestamp = StampNow();
+    if (del->timestamp == 0) del->timestamp = clock_.Next();
     return;
   }
   if (auto* batch = std::get_if<api::BatchCmd>(&cmd->op)) {
@@ -415,9 +402,7 @@ void DurableEngine::ApplyReplicated(std::span<const WalRecord> records) {
   }
   // Keep the stamp clock ahead of replicated history so post-promotion
   // engine-assigned timestamps never collide with it.
-  int64_t prev = clock_.load(std::memory_order_relaxed);
-  while (max_t > prev && !clock_.compare_exchange_weak(prev, max_t, std::memory_order_relaxed)) {
-  }
+  clock_.AdvanceTo(max_t);
   // The follower's durability ack: its next pull carries since_lsn ==
   // `last`, which must not outrun the local flush.
   wal_.Sync(last);

@@ -32,13 +32,14 @@
 // Engine op counters (STATS puts/gets/deletes) are presented as TOTALS
 // across restarts: each snapshot file carries the totals at its LSN cut
 // (DurableSnapshot below), recovery seeds baselines from them, and replay
-// re-derives the post-snapshot mutation counts. What durability does NOT
-// cover: read counters bumped by standalone GETs after the last checkpoint
-// (reads are never logged) and the online clustering tracker's window
-// state. A command
-// already applied in memory but not yet fsynced can be observed by a
-// concurrent read before its ack — readers see at worst a write that a
-// crash would un-ack, the usual WAL read-uncommitted window.
+// re-derives the post-snapshot mutation counts. The cluster tracker is
+// rebuilt from the same history (ShardedTtkv::ImportSnapshot feeds it the
+// snapshot's writes, replay the rest), so CLUSTER_NOW answers as before
+// the restart. What durability does NOT cover: read counters bumped by
+// standalone GETs after the last checkpoint (reads are never logged). A
+// command already applied in memory but not yet fsynced can be observed
+// by a concurrent read before its ack — readers see at worst a write that
+// a crash would un-ack, the usual WAL read-uncommitted window.
 #pragma once
 
 #include <atomic>
@@ -51,6 +52,7 @@
 
 #include "api/engine.h"
 #include "common/lockdep.h"
+#include "common/time.h"
 #include "persist/wal.h"
 
 namespace ocasta::persist {
@@ -159,7 +161,6 @@ class DurableEngine final : public api::Engine {
   // Rewrites timestamp-0 Put/Delete stamps (recursively through batches)
   // from the monotonic clock. Lock-free; called before mu_.
   void Stamp(api::Command* cmd);
-  TimeMicros StampNow();
   void MaybeWakeCheckpointer() OCASTA_EXCLUDES(wake_mu_);
 
   void CheckpointThread();
@@ -178,7 +179,7 @@ class DurableEngine final : public api::Engine {
   lockdep::ordered_mutex mu_{lockdep::kDurableMutateClass};
   Wal wal_;
   std::unique_ptr<api::Engine> inner_;
-  std::atomic<int64_t> clock_{0};  // Monotonicized wall clock (stamps).
+  StampClock clock_;
   RecoveryInfo recovery_;
 
   // Op-counter totals from the recovered snapshot's wrapper header,

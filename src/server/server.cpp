@@ -209,12 +209,17 @@ void TtkvServer::Stop() {
 }
 
 void TtkvServer::Wait() {
-  const lockdep::guard lock(join_mu_);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (const auto& loop : loops_) loop->Join();
+  {
+    const lockdep::guard lock(join_mu_);
+    if (accept_thread_.joinable()) accept_thread_.join();
+    for (const auto& loop : loops_) loop->Join();
+  }
   // After the joins: the accept join only returns once stop was requested,
-  // so a Wait()-ing daemon keeps tailing its leader until then.
+  // so a Wait()-ing daemon keeps tailing its leader until then. The
+  // follower stops outside join_mu_ because its mutex ranks below it;
+  // Stop() is safe to race (PROMOTE calls it too, latecomers return).
   if (follower_ != nullptr) follower_->Stop();
+  const lockdep::guard lock(join_mu_);
   if (metrics_http_ != nullptr) metrics_http_->Stop();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);

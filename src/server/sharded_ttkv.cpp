@@ -16,7 +16,6 @@ ShardedTtkv::ShardedTtkv(size_t num_shards, double cluster_window_seconds,
   if (num_shards == 0) throw Error("ShardedTtkv needs at least one shard");
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) shards_.push_back(std::make_unique<Shard>());
-  // Same metric names + labels as LocalEngine (docs/OBSERVABILITY.md).
   if (metrics_ != nullptr) {
     ctr_puts_ = &metrics_->GetCounter("ocasta_engine_ops_total", {{"op", "put"}});
     ctr_gets_ = &metrics_->GetCounter("ocasta_engine_ops_total", {{"op", "get"}});
@@ -47,34 +46,10 @@ lockdep::ordered_shared_mutex& ShardedTtkv::ReadLock(const Shard& shard) const {
   return shard.mu;
 }
 
-TimeMicros ShardedTtkv::StampNow() { return StampBlock(1); }
-
-TimeMicros ShardedTtkv::StampBlock(size_t count) {
-  const int64_t wall = std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::system_clock::now().time_since_epoch())
-                           .count();
-  const auto span = static_cast<int64_t>(count);
-  int64_t prev = clock_.load(std::memory_order_relaxed);
-  int64_t next;
-  do {
-    next = std::max(wall, prev + 1) + span - 1;
-  } while (!clock_.compare_exchange_weak(prev, next, std::memory_order_relaxed));
-  return next - span + 1;
-}
-
 void ShardedTtkv::FlushCounts(const OpCounts& counts) {
-  if (counts.puts != 0) {
-    puts_.fetch_add(counts.puts, std::memory_order_relaxed);
-    if (ctr_puts_ != nullptr) ctr_puts_->Inc(counts.puts);
-  }
-  if (counts.gets != 0) {
-    gets_.fetch_add(counts.gets, std::memory_order_relaxed);
-    if (ctr_gets_ != nullptr) ctr_gets_->Inc(counts.gets);
-  }
-  if (counts.deletes != 0) {
-    deletes_.fetch_add(counts.deletes, std::memory_order_relaxed);
-    if (ctr_deletes_ != nullptr) ctr_deletes_->Inc(counts.deletes);
-  }
+  if (counts.puts != 0) ctr_puts_->Inc(counts.puts);
+  if (counts.gets != 0) ctr_gets_->Inc(counts.gets);
+  if (counts.deletes != 0) ctr_deletes_->Inc(counts.deletes);
 }
 
 namespace {
@@ -110,6 +85,33 @@ KeyInfo KeyInfoOf(const api::Command& cmd) {
   }
   return {};
 }
+
+// Records one apply's latency into its op's histogram when it goes out of
+// scope. Sampled 1-in-N (see obs::HotPathSampler): the clock reads cost
+// more than the apply itself, while the op counters stay exact. A null
+// histogram (metrics off) reads no clock.
+class ApplyTimer {
+ public:
+  explicit ApplyTimer(obs::LatencyHistogram* hist) {
+    thread_local obs::HotPathSampler sample;
+    if (hist != nullptr && sample()) {
+      hist_ = hist;
+      t0_ = std::chrono::steady_clock::now();
+    }
+  }
+  ~ApplyTimer() {
+    if (hist_ == nullptr) return;
+    hist_->Record(static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                            std::chrono::steady_clock::now() - t0_)
+                                            .count()));
+  }
+  ApplyTimer(const ApplyTimer&) = delete;
+  ApplyTimer& operator=(const ApplyTimer&) = delete;
+
+ private:
+  obs::LatencyHistogram* hist_ = nullptr;
+  std::chrono::steady_clock::time_point t0_;
+};
 
 // Copies a record under a SHARED lock: read_count may be concurrently
 // bumped by read_latest_shared's atomic increment, so it is loaded
@@ -147,94 +149,20 @@ void ShardedTtkv::DrainTracker() const {
                                                        : a.key < b.key;
                    });
   for (PendingEvent& event : events) {
-    // Clamp across drains: a write stamped before an earlier drain's newest
-    // event must not move the tracker backwards.
-    const TimeMicros t = event.timestamp < tracker_last_ ? tracker_last_ : event.timestamp;
-    tracker_last_ = t;
-    tracker_.OnAccess(AccessEvent{.timestamp = t,
-                                  .app = "ocastad",
-                                  .store = StoreKind::kGconf,
-                                  .op = event.is_delete ? AccessOp::kDelete : AccessOp::kWrite,
-                                  .key = std::move(event.key),
-                                  .value = Value()});
+    FeedTrackerLocked(event.timestamp, event.is_delete, std::move(event.key));
   }
 }
 
-bool ShardedTtkv::PutLocked(Shard& shard, const std::string& key, Value value, TimeMicros t) {
-  // The clamped write resolves the key's record once; explicit timestamps
-  // older than the key's newest version are clamped up (concurrent writers
-  // race between stamping and locking, and TTKV only needs per-key order).
-  const TimeMicros applied = shard.ttkv.record_write_clamped(key, std::move(value), t);
-  shard.pending.push_back(PendingEvent{.timestamp = applied, .is_delete = false, .key = key});
-  return shard.pending.size() >= kPendingDrainThreshold;
-}
-
-ShardedTtkv::DeleteOutcome ShardedTtkv::DeleteLocked(Shard& shard, const std::string& key,
-                                                     TimeMicros t, bool force) {
-  DeleteOutcome out;
-  const VersionedRecord* rec = shard.ttkv.find(key);
-  out.existed = rec != nullptr && rec->latest().has_value();
-  out.recorded = out.existed || force;
-  if (!out.recorded) return out;
-  const TimeMicros applied = shard.ttkv.record_delete_clamped(key, t);
-  shard.pending.push_back(PendingEvent{.timestamp = applied, .is_delete = true, .key = key});
-  out.need_drain = shard.pending.size() >= kPendingDrainThreshold;
-  return out;
-}
-
-void ShardedTtkv::Put(const std::string& key, Value value, TimeMicros t) {
-  if (key.empty()) throw StoreError("empty key");
-  if (t == 0) t = StampNow();
-  Shard& shard = *shards_[shard_of(key)];
-  bool need_drain;
-  {
-    const lockdep::writer_guard lock(WriteLock(shard));
-    need_drain = PutLocked(shard, key, std::move(value), t);
-  }
-  puts_.fetch_add(1, std::memory_order_relaxed);
-  if (ctr_puts_ != nullptr) ctr_puts_->Inc();
-  if (need_drain) DrainTracker();
-}
-
-bool ShardedTtkv::Delete(const std::string& key, TimeMicros t, bool force) {
-  if (key.empty()) throw StoreError("empty key");
-  if (t == 0) t = StampNow();
-  Shard& shard = *shards_[shard_of(key)];
-  DeleteOutcome out;
-  {
-    const lockdep::writer_guard lock(WriteLock(shard));
-    out = DeleteLocked(shard, key, t, force);
-  }
-  if (out.recorded) {
-    deletes_.fetch_add(1, std::memory_order_relaxed);
-    if (ctr_deletes_ != nullptr) ctr_deletes_->Inc();
-  }
-  if (out.need_drain) DrainTracker();
-  return out.existed;
-}
-
-std::optional<Value> ShardedTtkv::Get(const std::string& key) {
-  Shard& shard = *shards_[shard_of(key)];
-  const lockdep::reader_guard lock(ReadLock(shard));
-  gets_.fetch_add(1, std::memory_order_relaxed);
-  if (ctr_gets_ != nullptr) ctr_gets_->Inc();
-  return shard.ttkv.read_latest_shared(key);
-}
-
-std::optional<Value> ShardedTtkv::GetAt(const std::string& key, TimeMicros t) const {
-  const Shard& shard = *shards_[shard_of(key)];
-  const lockdep::reader_guard lock(ReadLock(shard));
-  const VersionedRecord* rec = shard.ttkv.find(key);
-  if (rec == nullptr) return std::nullopt;
-  return rec->value_at(t);
-}
-
-std::optional<VersionedRecord> ShardedTtkv::History(const std::string& key) const {
-  const Shard& shard = *shards_[shard_of(key)];
-  const lockdep::reader_guard lock(ReadLock(shard));
-  const VersionedRecord* rec = shard.ttkv.find(key);
-  if (rec == nullptr) return std::nullopt;
-  return CopyRecordShared(*rec);
+void ShardedTtkv::FeedTrackerLocked(TimeMicros t, bool is_delete, std::string key) const {
+  // Clamp across drains: a write stamped before an earlier drain's newest
+  // event must not move the tracker backwards.
+  tracker_last_ = std::max(t, tracker_last_);
+  tracker_.OnAccess(AccessEvent{.timestamp = tracker_last_,
+                                .app = "ocastad",
+                                .store = StoreKind::kGconf,
+                                .op = is_delete ? AccessOp::kDelete : AccessOp::kWrite,
+                                .key = std::move(key),
+                                .value = Value()});
 }
 
 std::vector<std::string> ShardedTtkv::ListKeys(const std::string& prefix) const {
@@ -253,9 +181,9 @@ std::vector<std::string> ShardedTtkv::ListKeys(const std::string& prefix) const 
 EngineStats ShardedTtkv::Stats() const {
   EngineStats out;
   out.num_shards = shards_.size();
-  out.puts = puts_.load(std::memory_order_relaxed);
-  out.gets = gets_.load(std::memory_order_relaxed);
-  out.deletes = deletes_.load(std::memory_order_relaxed);
+  out.puts = ctr_puts_->value();
+  out.gets = ctr_gets_->value();
+  out.deletes = ctr_deletes_->value();
   out.read_lock_acquisitions = read_lock_acquisitions();
   out.write_lock_acquisitions = write_lock_acquisitions();
   out.lock_acquisitions = out.read_lock_acquisitions + out.write_lock_acquisitions;
@@ -303,9 +231,16 @@ void ShardedTtkv::ImportSnapshot(const TTKV& snapshot) {
     const lockdep::writer_guard lock(WriteLock(shard));
     for (uint32_t id : by_shard[s]) shard.ttkv.ImportRecord(snapshot.record(id));
   }
-  int64_t prev = clock_.load(std::memory_order_relaxed);
-  while (prev < newest && !clock_.compare_exchange_weak(prev, newest, std::memory_order_relaxed)) {
+  {
+    // The restored history predates every write this engine will take, so
+    // it goes straight to the tracker, in time order, ahead of any pending
+    // shard events.
+    const lockdep::guard lock(tracker_mu_);
+    for (const WriteEvent& event : snapshot.write_events()) {
+      FeedTrackerLocked(event.timestamp, event.is_delete, snapshot.key_name(event.key_id));
+    }
   }
+  clock_.AdvanceTo(newest);
 }
 
 size_t ShardedTtkv::CompactBefore(TimeMicros horizon) {
@@ -338,29 +273,37 @@ std::vector<NamedCluster> ShardedTtkv::ClusterNow(double threshold_correlation,
 // --- api::Engine ------------------------------------------------------------
 
 api::Result ShardedTtkv::ApplyWriteLocked(Shard& shard, const api::Command& cmd,
-                                          bool* need_drain, TimeMicros assigned_stamp,
+                                          TimeMicros stamp, bool* need_drain,
                                           OpCounts* counts) {
   try {
+    // The clamped record calls resolve the key's record once; timestamps
+    // older than the key's newest version are clamped up (concurrent
+    // writers race between stamping and locking, and TTKV only needs
+    // per-key order).
+    PendingEvent event;
+    api::Result result;
     if (const auto* put = std::get_if<api::PutCmd>(&cmd.op)) {
       if (put->key.empty()) throw StoreError("empty key");
-      const TimeMicros t = put->timestamp != 0 ? put->timestamp
-                           : assigned_stamp != 0 ? assigned_stamp
-                                                 : StampNow();
-      *need_drain |= PutLocked(shard, put->key, put->value, t);
+      const TimeMicros t = put->timestamp != 0 ? put->timestamp : stamp;
+      event = {shard.ttkv.record_write_clamped(put->key, put->value, t), false, put->key};
       ++counts->puts;
-      return api::OkResult{};
-    }
-    if (const auto* del = std::get_if<api::DeleteCmd>(&cmd.op)) {
+      result = api::OkResult{};
+    } else if (const auto* del = std::get_if<api::DeleteCmd>(&cmd.op)) {
       if (del->key.empty()) throw StoreError("empty key");
-      const TimeMicros t = del->timestamp != 0 ? del->timestamp
-                           : assigned_stamp != 0 ? assigned_stamp
-                                                 : StampNow();
-      const DeleteOutcome out = DeleteLocked(shard, del->key, t, del->force);
-      *need_drain |= out.need_drain;
-      if (out.recorded) ++counts->deletes;
-      return api::ExistedResult{out.existed};
+      const VersionedRecord* rec = shard.ttkv.find(del->key);
+      const bool existed = rec != nullptr && rec->latest().has_value();
+      // Blind deletes record nothing unless forced (see api::DeleteCmd).
+      if (!existed && !del->force) return api::ExistedResult{false};
+      const TimeMicros t = del->timestamp != 0 ? del->timestamp : stamp;
+      event = {shard.ttkv.record_delete_clamped(del->key, t), true, del->key};
+      ++counts->deletes;
+      result = api::ExistedResult{existed};
+    } else {
+      throw Error("ApplyWriteLocked on a non-mutating command");
     }
-    throw Error("ApplyWriteLocked on a non-mutating command");
+    shard.pending.push_back(std::move(event));
+    *need_drain |= shard.pending.size() >= kPendingDrainThreshold;
+    return result;
   } catch (const Error& e) {
     return api::ErrorResult{e.what()};
   }
@@ -398,27 +341,18 @@ api::Result ShardedTtkv::Apply(const api::Command& cmd) {
     bool need_drain = false;
     OpCounts counts;
     api::Result result;
-    // Apply latency includes the shard-lock wait — that is the latency a
-    // client actually observes under contention. Latency is sampled
-    // (1-in-N, see obs::HotPathSampler): the clock reads cost more than
-    // the apply itself; the op counters stay exact.
-    obs::LatencyHistogram* h = op_hist_[cmd.op.index()];
-    thread_local obs::HotPathSampler sample;
-    const bool timed = h != nullptr && sample();
-    const auto t0 = timed ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
-    if (info.is_read) {
-      const lockdep::reader_guard lock(ReadLock(shard));
-      result = ApplyReadLocked(shard, cmd, &counts);
-    } else {
-      const lockdep::writer_guard lock(WriteLock(shard));
-      result = ApplyWriteLocked(shard, cmd, &need_drain, 0, &counts);
-    }
-    if (timed) {
-      h->Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
+    {
+      // Apply latency includes the shard-lock wait — that is the latency a
+      // client actually observes under contention.
+      const ApplyTimer timer(op_hist_[cmd.op.index()]);
+      if (info.is_read) {
+        const lockdep::reader_guard lock(ReadLock(shard));
+        result = ApplyReadLocked(shard, cmd, &counts);
+      } else {
+        const lockdep::writer_guard lock(WriteLock(shard));
+        const TimeMicros stamp = info.needs_stamp ? clock_.Next() : 0;
+        result = ApplyWriteLocked(shard, cmd, stamp, &need_drain, &counts);
+      }
     }
     FlushCounts(counts);
     if (need_drain) DrainTracker();
@@ -471,25 +405,15 @@ void ShardedTtkv::ApplyGroupExclusive(Shard& shard, std::span<const RunEntry> en
                                       OpCounts* counts) {
   for (const RunEntry& entry : entries) {
     const api::Command& sub = cmds[entry.index];
-    obs::LatencyHistogram* h = op_hist_[sub.op.index()];
-    thread_local obs::HotPathSampler sample;
-    const bool timed = h != nullptr && sample();
     // Per-op time inside the group: the grouped lock is already held, so
     // this is pure apply cost (lock amortization is the batch's win and is
     // visible in ocasta_engine_batch_commands).
-    const auto t0 = timed ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
+    const ApplyTimer timer(op_hist_[sub.op.index()]);
     // An exclusive hold satisfies the read path's shared requirement, so a
     // mixed group dispatches per entry.
     (*results)[entry.index] =
         entry.is_read ? ApplyReadLocked(shard, sub, counts)
-                      : ApplyWriteLocked(shard, sub, need_drain, entry.stamp, counts);
-    if (timed) {
-      h->Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    }
+                      : ApplyWriteLocked(shard, sub, entry.stamp, need_drain, counts);
   }
 }
 
@@ -498,18 +422,8 @@ void ShardedTtkv::ApplyGroupShared(Shard& shard, std::span<const RunEntry> entri
                                    std::vector<api::Result>* results, OpCounts* counts) {
   for (const RunEntry& entry : entries) {
     const api::Command& sub = cmds[entry.index];
-    obs::LatencyHistogram* h = op_hist_[sub.op.index()];
-    thread_local obs::HotPathSampler sample;
-    const bool timed = h != nullptr && sample();
-    const auto t0 = timed ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
+    const ApplyTimer timer(op_hist_[sub.op.index()]);
     (*results)[entry.index] = ApplyReadLocked(shard, sub, counts);
-    if (timed) {
-      h->Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    }
   }
 }
 
@@ -520,7 +434,7 @@ std::vector<api::Result> ShardedTtkv::ApplyBatch(std::span<const api::Command> c
   // All grouping work — hashing, stamp reservation, sorting — happens out
   // here, outside any lock; each shard mutex is then held only while its
   // own commands apply. The per-op contended atomics are amortized too:
-  // one StampBlock CAS reserves every engine-assigned timestamp in the run
+  // one StampClock CAS reserves every engine-assigned timestamp in the run
   // (assigned in batch order, so per-key stamps stay monotonic), and op
   // counters flush once per run.
   std::vector<RunEntry> run;
@@ -531,7 +445,7 @@ std::vector<api::Result> ShardedTtkv::ApplyBatch(std::span<const api::Command> c
     if (run.empty()) return;
     OpCounts counts;
     if (stamps_needed > 0) {
-      TimeMicros stamp = StampBlock(stamps_needed);
+      TimeMicros stamp = clock_.Next(stamps_needed);
       for (RunEntry& entry : run) {
         if (entry.stamp != 0) entry.stamp = stamp++;
       }

@@ -1,4 +1,6 @@
-// The sharded, thread-safe TTKV engine behind the ocastad daemon.
+// The sharded, thread-safe TTKV engine behind the ocastad daemon, and the
+// repository's one in-process api::Engine: a single-store engine (the
+// paper's one-store-per-recorder deployment) is ShardedTtkv(1).
 //
 // The paper's TTKV runs inside one Redis server and serves many recorders
 // at once; the in-process TTKV is single-threaded. This engine bridges the
@@ -43,7 +45,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -63,9 +64,9 @@ namespace ocasta {
 class ShardedTtkv final : public api::Engine {
  public:
   // `metrics` (optional, must outlive the engine) turns on per-op apply
-  // latency histograms, batch-size histograms, and op counters
-  // (docs/OBSERVABILITY.md). Null = off: the apply path performs no clock
-  // reads or metric atomics.
+  // latency histograms and batch-size histograms, and moves the op
+  // counters into the registry (docs/OBSERVABILITY.md). Null = off: the
+  // apply path reads no clock and counts ops in engine-owned counters.
   explicit ShardedTtkv(size_t num_shards = 8, double cluster_window_seconds = 1.0,
                        obs::MetricsRegistry* metrics = nullptr);
 
@@ -90,25 +91,6 @@ class ShardedTtkv final : public api::Engine {
     return write_lock_acquisitions_.load(std::memory_order_relaxed);
   }
 
-  // --- Writes (t == 0 → engine-assigned monotonic wall-clock stamp) --------
-  void Put(const std::string& key, Value value, TimeMicros t = 0);
-
-  // Tombstones `key` and returns true when it had a live value. By default
-  // absent or already-tombstoned keys return false without recording
-  // anything (so churny blind deletes cannot bloat the store); force = true
-  // records the tombstone unconditionally, matching TTKV::record_delete
-  // (see api::DeleteCmd for the policy rationale).
-  bool Delete(const std::string& key, TimeMicros t = 0, bool force = false);
-
-  // --- Reads ----------------------------------------------------------------
-  // Counts a read against the key's record (Table I accounting), like the
-  // interception layer does.
-  std::optional<Value> Get(const std::string& key);
-  std::optional<Value> GetAt(const std::string& key, TimeMicros t) const;
-
-  // Full history of one key; nullopt when the key was never written.
-  std::optional<VersionedRecord> History(const std::string& key) const;
-
   // Keys with a live (non-tombstoned) value matching `prefix`, sorted.
   std::vector<std::string> ListKeys(const std::string& prefix) const;
 
@@ -123,12 +105,14 @@ class ShardedTtkv final : public api::Engine {
   size_t CompactBefore(TimeMicros horizon);
 
   // Splits a merged snapshot back into shards — the inverse of Snapshot(),
-  // used by crash recovery (persist/durable_engine.h) and shard-count
-  // migration. Every record lands in its key's shard, and the engine clock
-  // advances past the newest restored timestamp so fresh engine-assigned
-  // stamps never collide with restored history. The keys must be new to
-  // this engine (throws StoreError otherwise), so restore into a fresh
-  // instance.
+  // used by crash recovery (persist/durable_engine.h), follower bootstrap
+  // and shard-count migration. Every record lands in its key's shard, the
+  // restored write history feeds the cluster tracker in time order (so
+  // CLUSTER_NOW answers as it did before the restart), and the stamp
+  // clock advances past the newest restored timestamp so fresh
+  // engine-assigned stamps never collide with restored history. The keys
+  // must be new to this engine (throws StoreError otherwise), so restore
+  // into a fresh instance.
   void ImportSnapshot(const TTKV& snapshot);
 
   // Clusters all keys observed so far (see OnlineClusterTracker).
@@ -165,15 +149,8 @@ class ShardedTtkv final : public api::Engine {
   lockdep::ordered_shared_mutex& ReadLock(const Shard& shard) const
       OCASTA_RETURN_CAPABILITY(shard.mu);
 
-  TimeMicros StampNow();
-
-  // Batched analog of StampNow: reserves `count` consecutive stamps with
-  // ONE CAS on the shared clock and returns the first. The per-op CAS is a
-  // contended hot spot under multi-client load; a batch pays it once.
-  TimeMicros StampBlock(size_t count);
-
-  // Engine op counters accumulated during a batch and flushed with one
-  // atomic add per counter per run (instead of one contended RMW per op).
+  // Engine op counts accumulated during a run of commands and flushed
+  // with one atomic add per counter (instead of one contended RMW per op).
   struct OpCounts {
     uint64_t puts = 0;
     uint64_t gets = 0;
@@ -181,27 +158,14 @@ class ShardedTtkv final : public api::Engine {
   };
   void FlushCounts(const OpCounts& counts);
 
-  // --- Cores that assume the shard mutex is held ---------------------------
-  // Return true when the shard's pending buffer crossed the drain
-  // threshold (the caller drains after releasing the lock).
-  bool PutLocked(Shard& shard, const std::string& key, Value value, TimeMicros t)
-      OCASTA_REQUIRES(shard.mu);
-  struct DeleteOutcome {
-    bool existed = false;
-    bool recorded = false;
-    bool need_drain = false;
-  };
-  DeleteOutcome DeleteLocked(Shard& shard, const std::string& key, TimeMicros t, bool force)
-      OCASTA_REQUIRES(shard.mu);
-
   // Applies one mutating single-key command (Put/Delete) to its shard with
-  // the shard mutex held exclusively; never throws. `need_drain` is OR-ed
-  // and op counters accumulate into `counts` (the caller flushes).
-  // `assigned_stamp` is the pre-reserved stamp for a timestamp-0 write (0 =
-  // reserve one now via StampNow).
-  api::Result ApplyWriteLocked(Shard& shard, const api::Command& cmd, bool* need_drain,
-                               TimeMicros assigned_stamp, OpCounts* counts)
-      OCASTA_REQUIRES(shard.mu);
+  // the shard mutex held exclusively; never throws. `stamp` is the
+  // pre-reserved engine stamp used when the command's timestamp is 0.
+  // `need_drain` is OR-ed when the shard's pending buffer crossed the
+  // drain threshold (the caller drains after releasing the lock), and op
+  // counts accumulate into `counts` (the caller flushes).
+  api::Result ApplyWriteLocked(Shard& shard, const api::Command& cmd, TimeMicros stamp,
+                               bool* need_drain, OpCounts* counts) OCASTA_REQUIRES(shard.mu);
 
   // Applies one read command (Get/GetAt/History) with the shard mutex held
   // at least shared (an exclusive hold satisfies it too — mixed batch
@@ -242,27 +206,29 @@ class ShardedTtkv final : public api::Engine {
   // (tests/lockdep_test.cpp proves it does).
   void DrainTracker() const OCASTA_EXCLUDES(tracker_mu_);
 
+  // Feeds one write/delete to the tracker, clamped so it never moves the
+  // tracker backwards.
+  void FeedTrackerLocked(TimeMicros t, bool is_delete, std::string key) const
+      OCASTA_REQUIRES(tracker_mu_);
+
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Monotonicized wall clock shared by all shards.
-  std::atomic<int64_t> clock_{0};
-
-  std::atomic<uint64_t> puts_{0};
-  std::atomic<uint64_t> gets_{0};
-  std::atomic<uint64_t> deletes_{0};
+  StampClock clock_;
   mutable std::atomic<uint64_t> read_lock_acquisitions_{0};
   mutable std::atomic<uint64_t> write_lock_acquisitions_{0};
 
-  // Optional instrumentation; all pointers null when metrics are off. The
-  // obs op counters are incremented at exactly the sites that bump
-  // puts_/gets_/deletes_, so in a quiesced engine
-  // ocasta_engine_ops_total{op=...} equals the EngineStats counters (this
-  // equality is tested). The histogram array is indexed by CommandOp
-  // variant index.
+  // One counter per op: the registry's ocasta_engine_ops_total{op=...}
+  // when metrics are on, else the engine-owned fallback below. FlushCounts
+  // bumps it and Stats() reads it, so STATS and the exported metric are
+  // the same number. A registry shared by two engines therefore sums
+  // their counts — give each engine its own.
+  obs::Counter own_puts_, own_gets_, own_deletes_;
+  obs::Counter* ctr_puts_ = &own_puts_;
+  obs::Counter* ctr_gets_ = &own_gets_;
+  obs::Counter* ctr_deletes_ = &own_deletes_;
+
+  // Optional instrumentation; null when metrics are off. The histogram
+  // array is indexed by CommandOp variant index.
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Counter* ctr_puts_ = nullptr;
-  obs::Counter* ctr_gets_ = nullptr;
-  obs::Counter* ctr_deletes_ = nullptr;
   std::array<obs::LatencyHistogram*, std::variant_size_v<api::CommandOp>> op_hist_{};
   obs::LatencyHistogram* batch_hist_ = nullptr;
 

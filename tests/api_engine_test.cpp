@@ -1,14 +1,16 @@
-// Behavioral tests for the api::Engine backends: LocalEngine end-to-end,
-// the DeleteCmd force/suppress policy on both in-process engines, batch
-// ordering and error isolation, and the ShardedTtkv grouped-locking fast
-// path (a BatchCmd must cost at most num_shards lock acquisitions instead
-// of one per command).
+// Behavioral tests for the in-process api::Engine: the single-shard
+// ShardedTtkv end-to-end, the DeleteCmd force/suppress policy and batch
+// semantics at one shard and many, and the grouped-locking fast path (a
+// BatchCmd must cost at most num_shards lock acquisitions instead of one
+// per command).
 #include "api/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "api/backends.h"
-#include "api/local_engine.h"
+#include "clustering/engine.h"
 #include "common/time.h"
 #include "server/sharded_ttkv.h"
 
@@ -22,9 +24,9 @@ using api::GetCmd;
 using api::PutCmd;
 using api::Result;
 
-TEST(LocalEngine, FullCommandVocabulary) {
-  api::LocalEngine engine;
-  EXPECT_STREQ(engine.backend_name(), "local");
+TEST(OneShardEngine, FullCommandVocabulary) {
+  ShardedTtkv engine(1);
+  EXPECT_STREQ(engine.backend_name(), "sharded");
   api::Ping(engine);
 
   api::Put(engine, "/app/shell", Value("zsh"), Seconds(1));
@@ -55,27 +57,49 @@ TEST(LocalEngine, FullCommandVocabulary) {
   api::Shutdown(engine);                             // No-op for in-process engines.
 }
 
-TEST(LocalEngine, ClusterNowRunsOfflinePipeline) {
-  api::LocalEngine engine(api::LocalEngine::Options{.cluster_window_seconds = 1.0});
-  for (int burst = 0; burst < 3; ++burst) {
-    const TimeMicros t = Seconds(100 * (burst + 1));
-    api::Put(engine, "net/a", Value(burst), t);
-    api::Put(engine, "net/b", Value(burst), t + Seconds(0.3));
-  }
-  const auto clusters = api::ClusterNow(engine, 1.5);
-  ASSERT_EQ(clusters.size(), 1u);
-  EXPECT_EQ(clusters[0].keys, (std::vector<std::string>{"net/a", "net/b"}));
+// A cluster partition with names sorted inside each cluster and clusters
+// sorted, so two clusterings compare by membership alone.
+std::vector<std::vector<std::string>> Partition(std::vector<std::vector<std::string>> clusters) {
+  for (auto& keys : clusters) std::sort(keys.begin(), keys.end());
+  std::sort(clusters.begin(), clusters.end());
+  return clusters;
 }
 
-TEST(LocalEngine, AdoptsExistingTtkv) {
+// An adopted store (trace replay, recovery, follower bootstrap) is served
+// AND clustered: CLUSTER_NOW over the imported history partitions the keys
+// exactly as the offline pipeline does over the same TTKV.
+TEST(OneShardEngine, ImportedTtkvClustersLikeOfflinePipeline) {
   TTKV seed;
-  seed.record_write("/seed/key", Value(7), Seconds(1));
-  api::LocalEngine engine(std::move(seed));
-  EXPECT_EQ(api::Get(engine, "/seed/key"), Value(7));
+  for (int burst = 0; burst < 6; ++burst) {
+    const TimeMicros t = Seconds(100 * (burst + 1));
+    seed.record_write("net/a", Value(burst), t);
+    seed.record_write("net/b", Value(burst), t + Seconds(0.3));
+    if (burst < 2) seed.record_write("ui/theme", Value(burst), t + Seconds(0.5));
+    seed.record_write("ui/font", Value(burst), t + Seconds(40));
+    if (burst % 3 == 0) seed.record_delete("ui/zoom", t + Seconds(40.2));
+  }
+  ShardedTtkv engine(1);
+  engine.ImportSnapshot(seed);
+  EXPECT_EQ(api::Get(engine, "net/a"), Value(5));
+
+  ClusteringParams params;
+  params.window_seconds = 1.0;
+  params.threshold_correlation = 1.5;
+  std::vector<std::vector<std::string>> offline;
+  const ClusterSet set = ClusterKeys(seed, params);
+  for (const KeyCluster& cluster : set.clusters()) {
+    offline.emplace_back();
+    for (uint32_t id : cluster.keys) offline.back().push_back(seed.key_name(id));
+  }
+  std::vector<std::vector<std::string>> online;
+  for (const NamedCluster& cluster : api::ClusterNow(engine, 1.5)) online.push_back(cluster.keys);
+  ASSERT_EQ(Partition(online), Partition(offline));
+  ASSERT_EQ(online.size(), 4u);  // {net/a, net/b} and three singletons.
+  EXPECT_EQ(Partition(online).front(), (std::vector<std::string>{"net/a", "net/b"}));
 }
 
-TEST(LocalEngine, ServerAssignedTimestampsAreMonotonic) {
-  api::LocalEngine engine;
+TEST(OneShardEngine, ServerAssignedTimestampsAreMonotonic) {
+  ShardedTtkv engine(1);
   api::Put(engine, "/mono", Value(1));
   api::Put(engine, "/mono", Value(2));
   const auto record = api::History(engine, "/mono");
@@ -84,7 +108,7 @@ TEST(LocalEngine, ServerAssignedTimestampsAreMonotonic) {
   EXPECT_LT(record->versions[0].timestamp, record->versions[1].timestamp);
 }
 
-// --- DeleteCmd force/suppress policy, on both in-process engines ------------
+// --- DeleteCmd force/suppress policy, at one shard and many ----------------
 
 void ExerciseDeletePolicy(api::Engine& engine) {
   // Suppressed path (force = false): absent keys record nothing.
@@ -120,25 +144,14 @@ void ExerciseDeletePolicy(api::Engine& engine) {
   }
 }
 
-TEST(DeletePolicy, LocalEngine) {
-  api::LocalEngine engine;
+TEST(DeletePolicy, OneShard) {
+  ShardedTtkv engine(1);
   ExerciseDeletePolicy(engine);
 }
 
 TEST(DeletePolicy, ShardedTtkv) {
   ShardedTtkv engine(4);
   ExerciseDeletePolicy(engine);
-}
-
-TEST(DeletePolicy, ShardedTypedMethodMatchesCommandPath) {
-  ShardedTtkv engine(4);
-  engine.Put("/typed", Value(1), Seconds(1));
-  EXPECT_TRUE(engine.Delete("/typed", Seconds(2)));
-  EXPECT_FALSE(engine.Delete("/typed", Seconds(3)));             // Suppressed.
-  EXPECT_FALSE(engine.Delete("/typed", Seconds(4), /*force=*/true));  // Recorded.
-  const auto record = engine.History("/typed");
-  ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->delete_count, 2u);
 }
 
 // --- Batch semantics --------------------------------------------------------
@@ -171,8 +184,8 @@ void ExerciseBatchSemantics(api::Engine& engine) {
   EXPECT_TRUE(record->versions[2].is_delete);
 }
 
-TEST(BatchSemantics, LocalEngine) {
-  api::LocalEngine engine;
+TEST(BatchSemantics, OneShard) {
+  ShardedTtkv engine(1);
   ExerciseBatchSemantics(engine);
 }
 
@@ -227,7 +240,7 @@ TEST(BatchSemantics, GroupedBatchLocksEachShardOnce) {
 
 TEST(BatchSemantics, LockCountSurfacesInStats) {
   ShardedTtkv engine(2);
-  engine.Put("/locked", Value(1), Seconds(1));
+  api::Put(engine, "/locked", Value(1), Seconds(1));
   const EngineStats stats = engine.Stats();
   EXPECT_GE(stats.lock_acquisitions, 1u);
 }
@@ -236,8 +249,6 @@ TEST(BatchSemantics, LockCountSurfacesInStats) {
 
 TEST(Backends, MakeEngineSelectsImplementations) {
   api::BackendOptions options;
-  options.backend = "local";
-  EXPECT_STREQ(api::MakeEngine(options)->backend_name(), "local");
   options.backend = "sharded";
   options.num_shards = 2;
   EXPECT_STREQ(api::MakeEngine(options)->backend_name(), "sharded");
@@ -245,10 +256,19 @@ TEST(Backends, MakeEngineSelectsImplementations) {
   EXPECT_STREQ(api::MakeEngine(options)->backend_name(), "remote");
   options.backend = "redis";
   EXPECT_THROW(api::MakeEngine(options), Error);
+  // The retired single-mutex backend points at its replacement.
+  options.backend = "local";
+  try {
+    api::MakeEngine(options);
+    ADD_FAILURE() << "backend \"local\" was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--backend sharded --shards 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Backends, EngineHelpersSurfaceErrorsAsStoreError) {
-  api::LocalEngine engine;
+  ShardedTtkv engine(1);
   EXPECT_THROW(api::Put(engine, "", Value(1)), StoreError);
   ShardedTtkv sharded(2);
   EXPECT_THROW(api::Put(sharded, "", Value(1)), StoreError);

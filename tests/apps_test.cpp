@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <ostream>
 #include <set>
 
 #include "apps/catalog.h"
@@ -43,6 +44,10 @@ struct CatalogExpectation {
   StoreKind store;
   size_t paper_keys;  // Table II "#Keys".
 };
+
+// Without a printer gtest prints the raw struct bytes (a string pointer) into
+// the ctest name, which then changes from one build to the next.
+void PrintTo(const CatalogExpectation& e, std::ostream* os) { *os << e.name; }
 
 class CatalogTest : public ::testing::TestWithParam<CatalogExpectation> {};
 

@@ -22,8 +22,8 @@
 
 #include "api/codec.h"
 #include "api/engine.h"
-#include "api/local_engine.h"
 #include "client/ttkv_client.h"
+#include "server/sharded_ttkv.h"
 #include "server/wire.h"
 
 namespace ocasta {
@@ -102,7 +102,7 @@ class FakeDaemon {
 
   std::vector<AfterApply> script_;
   size_t next_step_ = 0;
-  api::LocalEngine engine_;
+  ShardedTtkv engine_{1};
   std::atomic<int> frames_applied_{0};
   int listen_fd_ = -1;
   std::atomic<int> active_fd_{-1};

@@ -1,13 +1,13 @@
 // Differential property test: one random api::Command trace, three
 // executions —
-//   LocalEngine      (one TTKV, one mutex)
-//   ShardedTtkv      (4 mutex-striped shards)
-//   DurableEngine    (WAL over LocalEngine) that CRASHES at a random trace
-//                    offset — the process-side half of the trace stops, the
-//                    engine object is dropped without ceremony, a torn
-//                    garbage tail is stapled onto the live WAL segment, the
-//                    engine is recovered from disk, and the rest of the
-//                    trace resumes
+//   TtkvOracle       (plain sequential TTKV reference, tests/ttkv_oracle.h)
+//   ShardedTtkv      (4 lock-striped shards)
+//   DurableEngine    (WAL over a 1-shard ShardedTtkv) that CRASHES at a
+//                    random trace offset — the process-side half of the
+//                    trace stops, the engine object is dropped without
+//                    ceremony, a torn garbage tail is stapled onto the live
+//                    WAL segment, the engine is recovered from disk, and
+//                    the rest of the trace resumes
 // — and the final durable state (key inventory, version histories,
 // write/delete counts, engine stats) must be identical across all three.
 //
@@ -25,11 +25,11 @@
 #include <gtest/gtest.h>
 
 #include "api/engine.h"
-#include "api/local_engine.h"
 #include "common/io.h"
 #include "common/rng.h"
 #include "persist/durable_engine.h"
 #include "server/sharded_ttkv.h"
+#include "ttkv_oracle.h"
 
 namespace ocasta {
 namespace {
@@ -170,7 +170,9 @@ std::unique_ptr<persist::DurableEngine> OpenDurable(const std::string& dir,
                                                     persist::DurableOptions options) {
   return std::make_unique<persist::DurableEngine>(
       dir, [](TTKV recovered) -> std::unique_ptr<api::Engine> {
-        return std::make_unique<api::LocalEngine>(std::move(recovered));
+        auto engine = std::make_unique<ShardedTtkv>(1);
+        engine->ImportSnapshot(recovered);
+        return engine;
       },
       options);
 }
@@ -182,9 +184,9 @@ TEST(DurableDifferentialTest, CrashRecoveredEngineMatchesInMemoryEngines) {
     const std::vector<api::Command> trace = RandomTrace(rng, 300);
     const size_t crash_at = 30 + rng.next_below(trace.size() - 60);
 
-    api::LocalEngine local;
+    TtkvOracle oracle;
     ShardedTtkv sharded(4, 1.0);
-    Drive(local, trace, 0, trace.size());
+    Drive(oracle, trace, 0, trace.size());
     Drive(sharded, trace, 0, trace.size());
 
     TempDir dir;
@@ -219,8 +221,8 @@ TEST(DurableDifferentialTest, CrashRecoveredEngineMatchesInMemoryEngines) {
     EXPECT_GT(recovered->recovery().dropped_bytes, 0u);
     Drive(*recovered, trace, crash_at, trace.size());
 
-    ExpectSameDurableState("local vs sharded", local, sharded, /*compare_reads=*/true);
-    ExpectSameDurableState("local vs durable", local, *recovered, /*compare_reads=*/false);
+    ExpectSameDurableState("oracle vs sharded", oracle, sharded, /*compare_reads=*/true);
+    ExpectSameDurableState("oracle vs durable", oracle, *recovered, /*compare_reads=*/false);
     ExpectSameDurableState("sharded vs durable", sharded, *recovered,
                            /*compare_reads=*/false);
   }
@@ -233,7 +235,7 @@ TEST(DurableDifferentialTest, CheckpointAtEverySeamStaysFaithful) {
   Rng rng(424243);
   const std::vector<api::Command> trace = RandomTrace(rng, 120);
 
-  api::LocalEngine reference;
+  TtkvOracle reference;
   Drive(reference, trace, 0, trace.size());
 
   TempDir dir;

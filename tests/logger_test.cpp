@@ -61,6 +61,42 @@ TEST(TraceLog, ParseRejectsMalformedLines) {
   EXPECT_THROW(TraceLog::ParseText("only\ttwo\n"), ParseError);
 }
 
+// Every numeric field (timestamp, store kind, op, value type) rejects a
+// non-numeric value, trailing garbage and an out-of-range value, naming
+// the field, line and column.
+TEST(TraceLog, ParseRejectsMalformedNumericFields) {
+  const std::vector<std::string> good = {"100", "app", "1", "1", "/k", "2", "7"};
+  const auto line = [&](size_t field, const std::string& value) {
+    std::vector<std::string> fields = good;
+    fields[field] = value;
+    std::string out = "100\tapp\t1\t1\t/k\t2\t7\n";  // A valid first line.
+    for (size_t i = 0; i < fields.size(); ++i) out += (i == 0 ? "" : "\t") + fields[i];
+    return out + "\n";
+  };
+  ASSERT_EQ(TraceLog::ParseText(line(0, "100")).size(), 2u);
+  const std::vector<std::pair<size_t, std::vector<std::string>>> bad = {
+      {0, {"abc", "100x", "99999999999999999999", ""}},
+      {2, {"abc", "1x", "3", "-1"}},
+      {3, {"abc", "1x", "3", "-1"}},
+      {5, {"abc", "2x", "6", "-1"}},
+  };
+  for (const auto& [field, values] : bad) {
+    size_t column = 1;  // Where the field starts on its line.
+    for (size_t i = 0; i < field; ++i) column += good[i].size() + 1;
+    for (const std::string& value : values) {
+      SCOPED_TRACE("field " + std::to_string(field) + " = '" + value + "'");
+      try {
+        TraceLog::ParseText(line(field, value));
+        ADD_FAILURE() << "accepted";
+      } catch (const ParseError& e) {
+        EXPECT_EQ(e.line(), 2u);
+        EXPECT_EQ(e.column(), column);
+        EXPECT_NE(std::string(e.what()).find("trace "), std::string::npos) << e.what();
+      }
+    }
+  }
+}
+
 TEST(TraceLog, InsertEventsKeepsOrder) {
   TraceLog log;
   log.OnAccess(MakeEvent(Seconds(10), "A", AccessOp::kWrite, "k", Value(1)));

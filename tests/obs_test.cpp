@@ -20,7 +20,6 @@
 
 #include "api/codec.h"
 #include "api/engine.h"
-#include "api/local_engine.h"
 #include "api/remote_engine.h"
 #include "common/error.h"
 #include "common/rng.h"
@@ -354,13 +353,9 @@ TEST(ObsWire, EmptySnapshotRoundTrips) {
 
 // --- Engine integration ------------------------------------------------------
 
-TEST(ObsEngine, QuiescedStatsMatchMetricsCountersExactly) {
-  // The EngineStats freshness contract (api/types.h): on a quiesced
-  // engine the STATS op totals equal the ocasta_engine_ops_total metrics
-  // counters exactly — both through the single-command path and the
-  // batched path.
-  obs::MetricsRegistry registry;
-  ShardedTtkv engine(4, 1.0, &registry);
+// 26 puts, 20 gets and 2 deletes, through the single-command path and the
+// batched path.
+void DriveCountedTraffic(api::Engine& engine) {
   for (int i = 0; i < 17; ++i) {
     engine.Apply(api::Command{api::PutCmd{"k" + std::to_string(i), Value(i), Seconds(i + 1)}});
   }
@@ -375,12 +370,20 @@ TEST(ObsEngine, QuiescedStatsMatchMetricsCountersExactly) {
   }
   batch.emplace_back(api::DeleteCmd{"k2", Seconds(300)});
   engine.Apply(api::Command{api::BatchCmd{std::move(batch)}});
+}
 
-  const EngineStats stats = engine.Stats();
+// The EngineStats freshness contract (api/types.h): STATS reads the same
+// counters ocasta_engine_ops_total exports, so on a quiesced engine the
+// two are equal — and STATS is just as exact with metrics off.
+void ExpectStatsMatchCounters(size_t shards) {
+  obs::MetricsRegistry registry;
+  ShardedTtkv engine(shards, 1.0, &registry);
+  DriveCountedTraffic(engine);
+  const EngineStats stats = api::Stats(engine);
   EXPECT_EQ(stats.puts, 26u);
   EXPECT_EQ(stats.gets, 20u);
   EXPECT_EQ(stats.deletes, 2u);
-  const obs::MetricsSnapshot snap = registry.Snapshot();
+  const obs::MetricsSnapshot snap = api::Metrics(engine);
   const auto counter = [&](const char* op) -> uint64_t {
     for (const auto& c : snap.counters) {
       if (c.name == "ocasta_engine_ops_total" && c.labels == obs::Labels{{"op", op}}) {
@@ -392,33 +395,18 @@ TEST(ObsEngine, QuiescedStatsMatchMetricsCountersExactly) {
   EXPECT_EQ(counter("put"), stats.puts);
   EXPECT_EQ(counter("get"), stats.gets);
   EXPECT_EQ(counter("delete"), stats.deletes);
+
+  ShardedTtkv unmetered(shards);
+  DriveCountedTraffic(unmetered);
+  const EngineStats plain = api::Stats(unmetered);
+  EXPECT_EQ(plain.puts, stats.puts);
+  EXPECT_EQ(plain.gets, stats.gets);
+  EXPECT_EQ(plain.deletes, stats.deletes);
 }
 
-TEST(ObsEngine, LocalEngineCountersMatchStatsToo) {
-  obs::MetricsRegistry registry;
-  api::LocalEngine engine(
-      api::LocalEngine::Options{.cluster_window_seconds = 1.0, .metrics = &registry});
-  engine.Apply(api::Command{api::PutCmd{"a", Value(1), Seconds(1)}});
-  engine.Apply(api::Command{api::PutCmd{"b", Value(2), Seconds(2)}});
-  engine.Apply(api::Command{api::GetCmd{"a"}});
-  engine.Apply(api::Command{api::DeleteCmd{"a", Seconds(3)}});
-  const EngineStats stats = api::Stats(engine);
-  const obs::MetricsSnapshot snap = api::Metrics(engine);
-  for (const auto& c : snap.counters) {
-    if (c.name != "ocasta_engine_ops_total") continue;
-    const std::string& op = c.labels.at(0).second;
-    if (op == "put") {
-      EXPECT_EQ(c.value, stats.puts);
-    } else if (op == "get") {
-      EXPECT_EQ(c.value, stats.gets);
-    } else if (op == "delete") {
-      EXPECT_EQ(c.value, stats.deletes);
-    }
-  }
-  EXPECT_EQ(stats.puts, 2u);
-  EXPECT_EQ(stats.gets, 1u);
-  EXPECT_EQ(stats.deletes, 1u);
-}
+TEST(ObsEngine, QuiescedStatsMatchMetricsCountersExactly) { ExpectStatsMatchCounters(4); }
+
+TEST(ObsEngine, OneShardCountersMatchStatsToo) { ExpectStatsMatchCounters(1); }
 
 TEST(ObsEngine, MetricsOpOverTheWire) {
   // METRICS through the daemon: protocol v4 end to end, and the apply

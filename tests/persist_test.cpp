@@ -10,12 +10,12 @@
 // replay, not double-applied.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <gtest/gtest.h>
 
 #include "api/codec.h"
-#include "api/local_engine.h"
 #include "common/io.h"
 #include "persist/durable_engine.h"
 #include "persist/wal.h"
@@ -307,36 +307,38 @@ TEST(PersistTest, FsyncPolicyNamesRoundTrip) {
 
 // --- DurableEngine ----------------------------------------------------------
 
-std::unique_ptr<DurableEngine> OpenLocal(const std::string& dir, DurableOptions options = {}) {
+std::unique_ptr<DurableEngine> Open(const std::string& dir, size_t shards,
+                                    DurableOptions options) {
   return std::make_unique<DurableEngine>(
-      dir, [](TTKV recovered) -> std::unique_ptr<api::Engine> {
-        return std::make_unique<api::LocalEngine>(std::move(recovered));
-      },
-      options);
-}
-
-std::unique_ptr<DurableEngine> OpenSharded(const std::string& dir,
-                                           DurableOptions options = {}) {
-  return std::make_unique<DurableEngine>(
-      dir, [](TTKV recovered) -> std::unique_ptr<api::Engine> {
-        auto engine = std::make_unique<ShardedTtkv>(4, 1.0);
+      dir, [shards](TTKV recovered) -> std::unique_ptr<api::Engine> {
+        auto engine = std::make_unique<ShardedTtkv>(shards, 1.0);
         engine->ImportSnapshot(recovered);
         return engine;
       },
       options);
 }
 
+std::unique_ptr<DurableEngine> OpenOneShard(const std::string& dir,
+                                            DurableOptions options = {}) {
+  return Open(dir, 1, options);
+}
+
+std::unique_ptr<DurableEngine> OpenSharded(const std::string& dir,
+                                           DurableOptions options = {}) {
+  return Open(dir, 4, options);
+}
+
 TEST(DurableEngineTest, RecoversAckedWritesAfterUncleanClose) {
   TempDir dir;
   {
-    auto engine = OpenLocal(dir.path);
+    auto engine = OpenOneShard(dir.path);
     api::Put(*engine, "/a", Value(int64_t{1}), Seconds(1));
     api::Put(*engine, "/a", Value(int64_t{2}), Seconds(2));
     api::Put(*engine, "/b", Value("hello"), Seconds(3));
     EXPECT_TRUE(api::Delete(*engine, "/b", Seconds(4)));
     // No clean shutdown hook exists on purpose: destruction == crash.
   }
-  auto engine = OpenLocal(dir.path);
+  auto engine = OpenOneShard(dir.path);
   EXPECT_EQ(engine->recovery().replayed, 4u);
   EXPECT_EQ(engine->recovery().snapshot_lsn, 0u);
   EXPECT_EQ(api::Get(*engine, "/a"), Value(int64_t{2}));
@@ -352,12 +354,12 @@ TEST(DurableEngineTest, EngineAssignedStampsAreLoggedExplicitly) {
   TempDir dir;
   TimeMicros stamped = 0;
   {
-    auto engine = OpenLocal(dir.path);
+    auto engine = OpenOneShard(dir.path);
     engine->Apply(api::PutCmd{"/t", Value(int64_t{9}), 0});  // Backend-assigned stamp.
     stamped = api::History(*engine, "/t")->versions.at(0).timestamp;
     EXPECT_GT(stamped, 0);
   }
-  auto engine = OpenLocal(dir.path);
+  auto engine = OpenOneShard(dir.path);
   // Replay must reproduce the stamp assigned at log time, not re-stamp.
   EXPECT_EQ(api::History(*engine, "/t")->versions.at(0).timestamp, stamped);
   // And fresh stamps keep moving forward from the recovered clock.
@@ -371,7 +373,7 @@ TEST(DurableEngineTest, SnapshotSeamIsIdempotent) {
   // deserialized store, doubling every version at the seam.
   TempDir dir;
   {
-    auto engine = OpenLocal(dir.path);
+    auto engine = OpenOneShard(dir.path);
     api::Put(*engine, "/seam", Value(int64_t{1}), Seconds(1));
     api::Put(*engine, "/seam", Value(int64_t{2}), Seconds(2));
     engine->Checkpoint();  // snap-2 now contains both versions; WAL still does too.
@@ -381,7 +383,7 @@ TEST(DurableEngineTest, SnapshotSeamIsIdempotent) {
   // the WAL until an OLDER snapshot covers it) — exactly the double-apply
   // hazard.
   ASSERT_EQ(SnapshotFiles(dir.path).size(), 1u);
-  auto engine = OpenLocal(dir.path);
+  auto engine = OpenOneShard(dir.path);
   EXPECT_EQ(engine->recovery().snapshot_lsn, 2u);
   EXPECT_EQ(engine->recovery().replayed, 1u);   // Only the post-snapshot record.
   EXPECT_GE(engine->recovery().skipped, 0u);
@@ -395,24 +397,24 @@ TEST(DurableEngineTest, SnapshotSeamIsIdempotent) {
 TEST(DurableEngineTest, CheckpointWithNoNewWritesDoesNotDoubleApply) {
   TempDir dir;
   {
-    auto engine = OpenLocal(dir.path);
+    auto engine = OpenOneShard(dir.path);
     api::Put(*engine, "/x", Value(int64_t{1}), Seconds(1));
     engine->Checkpoint();
   }
   {
-    auto engine = OpenLocal(dir.path);
+    auto engine = OpenOneShard(dir.path);
     EXPECT_EQ(api::History(*engine, "/x")->versions.size(), 1u);
     engine->Checkpoint();  // Same LSN: must be a no-op, not a second snapshot.
     EXPECT_EQ(SnapshotFiles(dir.path).size(), 1u);
   }
-  auto engine = OpenLocal(dir.path);
+  auto engine = OpenOneShard(dir.path);
   EXPECT_EQ(api::History(*engine, "/x")->versions.size(), 1u);
 }
 
 TEST(DurableEngineTest, CorruptNewestSnapshotFallsBackToOlder) {
   TempDir dir;
   {
-    auto engine = OpenLocal(dir.path);
+    auto engine = OpenOneShard(dir.path);
     api::Put(*engine, "/f", Value(int64_t{1}), Seconds(1));
     engine->Checkpoint();
     api::Put(*engine, "/f", Value(int64_t{2}), Seconds(2));
@@ -425,7 +427,7 @@ TEST(DurableEngineTest, CorruptNewestSnapshotFallsBackToOlder) {
   const std::string newest = snaps.back();
   WriteFile(newest, ReadFile(newest).substr(0, ReadFile(newest).size() / 2));
 
-  auto engine = OpenLocal(dir.path);
+  auto engine = OpenOneShard(dir.path);
   EXPECT_EQ(engine->recovery().snapshot_lsn, 1u);  // Fell back.
   EXPECT_EQ(engine->recovery().replayed, 2u);      // Records 2 and 3.
   EXPECT_EQ(api::Get(*engine, "/f"), Value(int64_t{3}));
@@ -442,7 +444,7 @@ TEST(DurableEngineTest, RefusesProvablyPartialRecovery) {
   options.wal.segment_bytes = 256;  // Force rotation so truncation has prey.
   options.retained_snapshots = 1;
   {
-    auto engine = OpenLocal(dir.path, options);
+    auto engine = OpenOneShard(dir.path, options);
     for (int i = 0; i < 30; ++i) {
       api::Put(*engine, "/p/" + std::to_string(i), Value(int64_t{i}), Seconds(i + 1));
     }
@@ -452,13 +454,13 @@ TEST(DurableEngineTest, RefusesProvablyPartialRecovery) {
   ASSERT_EQ(SnapshotFiles(dir.path).size(), 1u);
   const std::string snap = SnapshotFiles(dir.path).at(0);
   WriteFile(snap, "corrupt");
-  EXPECT_THROW(OpenLocal(dir.path, options), Error);
+  EXPECT_THROW(OpenOneShard(dir.path, options), Error);
 }
 
 TEST(DurableEngineTest, TornTailLosesOnlyTheTornRecord) {
   TempDir dir;
   {
-    auto engine = OpenLocal(dir.path);
+    auto engine = OpenOneShard(dir.path);
     api::Put(*engine, "/t", Value(int64_t{1}), Seconds(1));
     api::Put(*engine, "/t", Value(int64_t{2}), Seconds(2));
   }
@@ -466,7 +468,7 @@ TEST(DurableEngineTest, TornTailLosesOnlyTheTornRecord) {
   const std::string segment = SegmentFiles(dir.path).at(0);
   WriteFile(segment, ReadFile(segment) + std::string("\x14\x00\x00\x00torn", 8));
 
-  auto engine = OpenLocal(dir.path);
+  auto engine = OpenOneShard(dir.path);
   EXPECT_GT(engine->recovery().dropped_bytes, 0u);
   EXPECT_EQ(engine->recovery().replayed, 2u);
   EXPECT_EQ(api::Get(*engine, "/t"), Value(int64_t{2}));
@@ -480,7 +482,7 @@ TEST(DurableEngineTest, CheckpointTruncatesCoveredWalSegments) {
   options.wal.segment_bytes = 256;  // Force rotation quickly.
   options.retained_snapshots = 1;
   {
-    auto engine = OpenLocal(dir.path, options);
+    auto engine = OpenOneShard(dir.path, options);
     for (int i = 0; i < 30; ++i) {
       api::Put(*engine, "/k/" + std::to_string(i), Value(int64_t{i}), Seconds(i + 1));
     }
@@ -489,7 +491,7 @@ TEST(DurableEngineTest, CheckpointTruncatesCoveredWalSegments) {
     engine->Checkpoint();
     EXPECT_LT(SegmentFiles(dir.path).size(), before);
   }
-  auto engine = OpenLocal(dir.path, options);
+  auto engine = OpenOneShard(dir.path, options);
   for (int i = 0; i < 30; ++i) {
     EXPECT_EQ(api::Get(*engine, "/k/" + std::to_string(i)), Value(int64_t{i}));
   }
@@ -527,14 +529,14 @@ TEST(DurableEngineTest, BatchMutationsAreDurableUnderEveryPolicy) {
 TEST(DurableEngineTest, CompactIsLoggedAndReplayed) {
   TempDir dir;
   {
-    auto engine = OpenLocal(dir.path);
+    auto engine = OpenOneShard(dir.path);
     api::Put(*engine, "/c", Value(int64_t{1}), Seconds(1));
     api::Put(*engine, "/c", Value(int64_t{2}), Seconds(2));
     api::Put(*engine, "/c", Value(int64_t{3}), Seconds(3));
     EXPECT_EQ(api::Compact(*engine, Seconds(3)), 1u);
     EXPECT_EQ(api::History(*engine, "/c")->versions.size(), 2u);
   }
-  auto engine = OpenLocal(dir.path);
+  auto engine = OpenOneShard(dir.path);
   EXPECT_EQ(api::History(*engine, "/c")->versions.size(), 2u);
   EXPECT_EQ(api::Get(*engine, "/c"), Value(int64_t{3}));
 }
@@ -542,7 +544,7 @@ TEST(DurableEngineTest, CompactIsLoggedAndReplayed) {
 TEST(DurableEngineTest, ReadsAndErrorsAreNotLogged) {
   TempDir dir;
   {
-    auto engine = OpenLocal(dir.path);
+    auto engine = OpenOneShard(dir.path);
     api::Put(*engine, "/r", Value(int64_t{1}), Seconds(1));
     api::Get(*engine, "/r");
     api::Get(*engine, "/r");
@@ -552,7 +554,7 @@ TEST(DurableEngineTest, ReadsAndErrorsAreNotLogged) {
     EXPECT_TRUE(api::IsError(engine->Apply(api::PutCmd{"", Value(int64_t{1}), Seconds(2)})));
     EXPECT_EQ(engine->wal().last_lsn(), 2u);  // The put + the rejected put; no reads.
   }
-  auto engine = OpenLocal(dir.path);
+  auto engine = OpenOneShard(dir.path);
   EXPECT_EQ(api::Get(*engine, "/r"), Value(int64_t{1}));
   EXPECT_EQ(api::Stats(*engine).ttkv.num_keys, 1u);
 }
@@ -560,17 +562,18 @@ TEST(DurableEngineTest, ReadsAndErrorsAreNotLogged) {
 TEST(DurableEngineTest, ShardedImportSnapshotMatchesLocalRecovery) {
   TempDir dir;
   {
-    auto engine = OpenLocal(dir.path);
+    auto engine = OpenOneShard(dir.path);
     for (int i = 0; i < 20; ++i) {
       api::Put(*engine, "/m/" + std::to_string(i % 5), Value(int64_t{i}), Seconds(i + 1));
     }
     engine->Checkpoint();
     api::Delete(*engine, "/m/0", Seconds(40));
   }
-  // The same directory recovers through the sharded factory: snapshot split
-  // across shards via ImportSnapshot, log tail replayed on top.
+  // The same directory recovers through a 4-shard and a 1-shard factory:
+  // the snapshot split across shards via ImportSnapshot, the log tail
+  // replayed on top.
   auto sharded = OpenSharded(dir.path);
-  auto local = OpenLocal(dir.path);
+  auto local = OpenOneShard(dir.path);
   const TTKV a = api::Snapshot(*sharded);
   const TTKV b = api::Snapshot(*local);
   ASSERT_EQ(a.num_keys(), b.num_keys());
@@ -584,6 +587,43 @@ TEST(DurableEngineTest, ShardedImportSnapshotMatchesLocalRecovery) {
   }
 }
 
+// CLUSTER_NOW after a restart sees the whole history: the part inside the
+// snapshot (ImportSnapshot feeds it to the tracker) as well as the
+// replayed log tail. Here the {a, b} co-modifications all sit inside the
+// snapshot and {c, d}'s in the tail.
+TEST(DurableEngineTest, ClusterNowSurvivesCheckpointAndRestart) {
+  TempDir dir;
+  const auto partition = [](api::Engine& engine) {
+    std::vector<std::vector<std::string>> clusters;
+    for (NamedCluster& cluster : api::ClusterNow(engine, 1.5)) {
+      std::sort(cluster.keys.begin(), cluster.keys.end());
+      clusters.push_back(std::move(cluster.keys));
+    }
+    std::sort(clusters.begin(), clusters.end());
+    return clusters;
+  };
+  std::vector<std::vector<std::string>> before;
+  {
+    auto engine = OpenSharded(dir.path);
+    for (int burst = 0; burst < 3; ++burst) {
+      const TimeMicros t = Seconds(100 * (burst + 1));
+      api::Put(*engine, "/c/a", Value(int64_t{burst}), t);
+      api::Put(*engine, "/c/b", Value(int64_t{burst}), t + Seconds(0.3));
+    }
+    engine->Checkpoint();
+    for (int burst = 3; burst < 6; ++burst) {
+      const TimeMicros t = Seconds(100 * (burst + 1));
+      api::Put(*engine, "/c/c", Value(int64_t{burst}), t);
+      api::Put(*engine, "/c/d", Value(int64_t{burst}), t + Seconds(0.3));
+    }
+    before = partition(*engine);
+  }
+  ASSERT_EQ(before, (std::vector<std::vector<std::string>>{{"/c/a", "/c/b"}, {"/c/c", "/c/d"}}));
+  auto engine = OpenSharded(dir.path);
+  ASSERT_GT(engine->recovery().snapshot_lsn, 0u);
+  EXPECT_EQ(partition(*engine), before);
+}
+
 TEST(DurableEngineTest, FallsBackThroughEveryRetainedSnapshot) {
   // Recovery must walk EVERY retained snapshot newest-first, not just try
   // the newest and give up: with retained_snapshots = 3 and the two newest
@@ -593,7 +633,7 @@ TEST(DurableEngineTest, FallsBackThroughEveryRetainedSnapshot) {
   DurableOptions options;
   options.retained_snapshots = 3;
   {
-    auto engine = OpenLocal(dir.path, options);
+    auto engine = OpenOneShard(dir.path, options);
     api::Put(*engine, "/g", Value(int64_t{1}), Seconds(1));
     engine->Checkpoint();  // snap @ 1
     api::Put(*engine, "/g", Value(int64_t{2}), Seconds(2));
@@ -607,7 +647,7 @@ TEST(DurableEngineTest, FallsBackThroughEveryRetainedSnapshot) {
   WriteFile(snaps[2], "garbage");                                   // Newest: corrupt.
   WriteFile(snaps[1], ReadFile(snaps[1]).substr(0, 3));             // Middle: torn.
 
-  auto engine = OpenLocal(dir.path, options);
+  auto engine = OpenOneShard(dir.path, options);
   EXPECT_EQ(engine->recovery().snapshot_lsn, 1u);  // Fell back twice.
   EXPECT_EQ(engine->recovery().replayed, 3u);      // Records 2, 3, 4.
   EXPECT_EQ(api::Get(*engine, "/g"), Value(int64_t{4}));
@@ -621,7 +661,7 @@ TEST(DurableEngineTest, AllSnapshotsCorruptFallsBackToBareLogReplay) {
   // the provably-partial case where truncation already ate the head).
   TempDir dir;
   {
-    auto engine = OpenLocal(dir.path);  // Default: big segments, nothing truncated.
+    auto engine = OpenOneShard(dir.path);  // Default: big segments, nothing truncated.
     api::Put(*engine, "/b", Value(int64_t{1}), Seconds(1));
     engine->Checkpoint();
     api::Put(*engine, "/b", Value(int64_t{2}), Seconds(2));
@@ -630,7 +670,7 @@ TEST(DurableEngineTest, AllSnapshotsCorruptFallsBackToBareLogReplay) {
   }
   for (const std::string& snap : SnapshotFiles(dir.path)) WriteFile(snap, "corrupt");
 
-  auto engine = OpenLocal(dir.path);
+  auto engine = OpenOneShard(dir.path);
   EXPECT_EQ(engine->recovery().snapshot_lsn, 0u);  // No snapshot anchored.
   EXPECT_EQ(engine->recovery().replayed, 3u);      // The full log.
   EXPECT_EQ(api::Get(*engine, "/b"), Value(int64_t{3}));
@@ -644,7 +684,7 @@ TEST(DurableEngineTest, StatsTotalsSurviveRestart) {
   // wrapper, every restart silently reset puts/gets/deletes to zero.
   TempDir dir;
   {
-    auto engine = OpenLocal(dir.path);
+    auto engine = OpenOneShard(dir.path);
     api::Put(*engine, "/s/a", Value(int64_t{1}), Seconds(1));
     api::Put(*engine, "/s/b", Value(int64_t{2}), Seconds(2));
     api::Get(*engine, "/s/a");
@@ -656,7 +696,7 @@ TEST(DurableEngineTest, StatsTotalsSurviveRestart) {
     // recovered total must be baseline + replay, not just the baseline.
     api::Put(*engine, "/s/c", Value(int64_t{3}), Seconds(4));
   }
-  auto engine = OpenLocal(dir.path);
+  auto engine = OpenOneShard(dir.path);
   const EngineStats stats = api::Stats(*engine);
   EXPECT_EQ(stats.puts, 3u);
   EXPECT_EQ(stats.gets, 3u);
@@ -700,7 +740,7 @@ TEST(DurableEngineTest, LegacyBareSnapshotFileStillAnchorsRecovery) {
   std::snprintf(name, sizeof(name), "snap-%020llu.ttkv", 2ull);
   WriteFile(dir.path + "/" + name, image.Serialize());
 
-  auto engine = OpenLocal(dir.path);
+  auto engine = OpenOneShard(dir.path);
   EXPECT_EQ(engine->recovery().snapshot_lsn, 2u);
   EXPECT_EQ(api::Get(*engine, "/old/key"), Value("survives"));
   EXPECT_EQ(api::Stats(*engine).puts, 0u);  // Totals unknown for legacy images.
@@ -712,7 +752,7 @@ TEST(DurableEngineTest, LegacyBareSnapshotFileStillAnchorsRecovery) {
 
 TEST(DurableEngineTest, BackendNameAndPassThroughs) {
   TempDir dir;
-  auto engine = OpenLocal(dir.path);
+  auto engine = OpenOneShard(dir.path);
   EXPECT_STREQ(engine->backend_name(), "durable");
   EXPECT_FALSE(api::IsError(engine->Apply(api::PingCmd{})));
   EXPECT_FALSE(api::IsError(engine->Apply(api::ShutdownCmd{})));

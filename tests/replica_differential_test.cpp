@@ -1,6 +1,6 @@
 // Replication differential property test: one seeded random command trace,
 // three executions —
-//   LocalEngine   (in-process reference, commands applied directly)
+//   TtkvOracle    (plain sequential TTKV reference, tests/ttkv_oracle.h)
 //   leader        (a real TtkvServer driven over TCP with the same trace)
 //   follower      (tails the leader's WAL — and CRASHES at random trace
 //                  offsets: the server object is dropped with no shutdown
@@ -25,11 +25,11 @@
 
 #include "api/codec.h"
 #include "api/engine.h"
-#include "api/local_engine.h"
 #include "client/ttkv_client.h"
 #include "persist/durable_engine.h"
 #include "server/server.h"
 #include "ttkv/serialize.h"
+#include "ttkv_oracle.h"
 
 namespace ocasta {
 namespace {
@@ -152,7 +152,7 @@ TEST(ReplicaDifferentialTest, CrashingFollowerConvergesToLeaderBytes) {
     TtkvServer leader(LeaderOptions(leader_dir.path));
     leader.Start();
     TtkvClient client("127.0.0.1", leader.port());
-    api::LocalEngine reference;
+    TtkvOracle reference;
 
     auto follower =
         std::make_unique<TtkvServer>(FollowerOptions(follower_dir.path, leader.port()));

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <random>
@@ -18,11 +19,11 @@
 
 #include "api/codec.h"
 #include "api/engine.h"
-#include "api/local_engine.h"
 #include "client/ttkv_client.h"
 #include "persist/durable_engine.h"
 #include "replica/replication_hub.h"
 #include "server/server.h"
+#include "server/sharded_ttkv.h"
 #include "ttkv/serialize.h"
 
 namespace ocasta {
@@ -274,7 +275,9 @@ TEST(ReplicaTest, BootstrapsFromSnapshotWhenLeaderLogIsTruncated) {
     persist::DurableEngine engine(
         leader_dir.path,
         [](TTKV recovered) -> std::unique_ptr<api::Engine> {
-          return std::make_unique<api::LocalEngine>(std::move(recovered));
+          auto inner = std::make_unique<ShardedTtkv>(1);
+          inner->ImportSnapshot(recovered);
+          return inner;
         },
         options);
     for (int i = 0; i < 20; ++i) {
@@ -300,6 +303,22 @@ TEST(ReplicaTest, BootstrapsFromSnapshotWhenLeaderLogIsTruncated) {
   // Op-counter totals rode inside the snapshot (OCDS header), so STATS at
   // the follower reports lifetime totals, not zero.
   EXPECT_EQ(api::Stats(follower.engine()).puts, expected_puts);
+
+  // Leader recovery and follower bootstrap both rebuild the cluster
+  // tracker from the snapshot's history, so CLUSTER_NOW agrees and sees
+  // the seed writes (1 s apart: one co-modification burst).
+  const auto sorted_keys = [](TtkvServer& server) {
+    std::vector<std::vector<std::string>> clusters;
+    for (NamedCluster& cluster : api::ClusterNow(server.engine(), 1.5)) {
+      std::sort(cluster.keys.begin(), cluster.keys.end());
+      clusters.push_back(std::move(cluster.keys));
+    }
+    return clusters;
+  };
+  const auto leader_clusters = sorted_keys(leader);
+  ASSERT_EQ(leader_clusters.size(), 1u);
+  EXPECT_EQ(leader_clusters[0].size(), expected_puts);
+  EXPECT_EQ(sorted_keys(follower), leader_clusters);
 
   // And the live tail continues from the snapshot seam without a gap.
   TtkvClient client("127.0.0.1", leader.port());

@@ -44,11 +44,11 @@ echo "$OUT" | grep -q '2 writes, 2 deletions' || fail "forced tombstone missing 
 
 # A bad line must fail the whole batch parse with the error: contract —
 # unknown commands and malformed numeric arguments alike.
-if printf 'frobnicate /b/x\n' | "$CLI" batch --backend local > /dev/null 2> "$DIR/err3.txt"; then
+if printf 'frobnicate /b/x\n' | "$CLI" batch --backend sharded > /dev/null 2> "$DIR/err3.txt"; then
   fail "batch with an unknown command should exit nonzero"
 fi
 grep -q '^error:' "$DIR/err3.txt" || fail "expected 'error:' prefix from batch parse"
-if printf 'getat /b/x notanumber\n' | "$CLI" batch --backend local > /dev/null 2> "$DIR/err4.txt"; then
+if printf 'getat /b/x notanumber\n' | "$CLI" batch --backend sharded > /dev/null 2> "$DIR/err4.txt"; then
   fail "batch getat with a bad timestamp should exit nonzero"
 fi
 grep -q '^error:.*number' "$DIR/err4.txt" || fail "expected numeric parse error, got: $(cat "$DIR/err4.txt")"

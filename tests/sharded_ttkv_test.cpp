@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "api/command.h"
+#include "api/engine.h"
 #include "common/error.h"
 
 namespace ocasta {
@@ -18,17 +18,17 @@ namespace {
 
 TEST(ShardedTtkv, PutGetDeleteRoundTrip) {
   ShardedTtkv engine(4);
-  engine.Put("/apps/editor/font", Value("mono"), Seconds(1));
-  engine.Put("/apps/editor/size", Value(12), Seconds(2));
-  EXPECT_EQ(engine.Get("/apps/editor/font"), Value("mono"));
-  EXPECT_EQ(engine.Get("/apps/editor/size"), Value(12));
-  EXPECT_EQ(engine.Get("/apps/editor/missing"), std::nullopt);
+  api::Put(engine, "/apps/editor/font", Value("mono"), Seconds(1));
+  api::Put(engine, "/apps/editor/size", Value(12), Seconds(2));
+  EXPECT_EQ(api::Get(engine, "/apps/editor/font"), Value("mono"));
+  EXPECT_EQ(api::Get(engine, "/apps/editor/size"), Value(12));
+  EXPECT_EQ(api::Get(engine, "/apps/editor/missing"), std::nullopt);
 
-  EXPECT_TRUE(engine.Delete("/apps/editor/font", Seconds(3)));
-  EXPECT_EQ(engine.Get("/apps/editor/font"), std::nullopt);
+  EXPECT_TRUE(api::Delete(engine, "/apps/editor/font", Seconds(3)));
+  EXPECT_EQ(api::Get(engine, "/apps/editor/font"), std::nullopt);
   // Deleting an absent or already-deleted key records nothing.
-  EXPECT_FALSE(engine.Delete("/apps/editor/font", Seconds(4)));
-  EXPECT_FALSE(engine.Delete("/apps/editor/never", Seconds(4)));
+  EXPECT_FALSE(api::Delete(engine, "/apps/editor/font", Seconds(4)));
+  EXPECT_FALSE(api::Delete(engine, "/apps/editor/never", Seconds(4)));
 
   const EngineStats stats = engine.Stats();
   EXPECT_EQ(stats.ttkv.num_keys, 2u);
@@ -41,27 +41,27 @@ TEST(ShardedTtkv, PutGetDeleteRoundTrip) {
 
 TEST(ShardedTtkv, TimeTravelAcrossShards) {
   ShardedTtkv engine(3);
-  engine.Put("k", Value(1), Seconds(10));
-  engine.Put("k", Value(2), Seconds(20));
-  EXPECT_EQ(engine.GetAt("k", Seconds(15)), Value(1));
-  EXPECT_EQ(engine.GetAt("k", Seconds(25)), Value(2));
-  EXPECT_EQ(engine.GetAt("k", Seconds(5)), std::nullopt);
+  api::Put(engine, "k", Value(1), Seconds(10));
+  api::Put(engine, "k", Value(2), Seconds(20));
+  EXPECT_EQ(api::GetAt(engine, "k", Seconds(15)), Value(1));
+  EXPECT_EQ(api::GetAt(engine, "k", Seconds(25)), Value(2));
+  EXPECT_EQ(api::GetAt(engine, "k", Seconds(5)), std::nullopt);
 }
 
 TEST(ShardedTtkv, HistoryAndListKeys) {
   ShardedTtkv engine(4);
-  engine.Put("/a/x", Value(1), Seconds(1));
-  engine.Put("/a/y", Value(2), Seconds(2));
-  engine.Put("/b/z", Value(3), Seconds(3));
-  engine.Delete("/a/y", Seconds(4));
+  api::Put(engine, "/a/x", Value(1), Seconds(1));
+  api::Put(engine, "/a/y", Value(2), Seconds(2));
+  api::Put(engine, "/b/z", Value(3), Seconds(3));
+  api::Delete(engine, "/a/y", Seconds(4));
 
-  const auto record = engine.History("/a/y");
+  const auto record = api::History(engine, "/a/y");
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->write_count, 1u);
   EXPECT_EQ(record->delete_count, 1u);
   ASSERT_EQ(record->versions.size(), 2u);
   EXPECT_TRUE(record->versions.back().is_delete);
-  EXPECT_FALSE(engine.History("/nope").has_value());
+  EXPECT_FALSE(api::History(engine, "/nope").has_value());
 
   // Tombstoned keys drop out of the live listing.
   EXPECT_EQ(engine.ListKeys("/a"), (std::vector<std::string>{"/a/x"}));
@@ -70,11 +70,11 @@ TEST(ShardedTtkv, HistoryAndListKeys) {
 
 TEST(ShardedTtkv, SnapshotMergesShardsIndependentOfShardCount) {
   const auto fill = [](ShardedTtkv& engine) {
-    engine.Put("alpha", Value(1), Seconds(1));
-    engine.Put("beta", Value("b"), Seconds(2));
-    engine.Put("alpha", Value(3), Seconds(3));
-    engine.Delete("beta", Seconds(4));
-    engine.Get("alpha");  // One read, counted in the snapshot.
+    api::Put(engine, "alpha", Value(1), Seconds(1));
+    api::Put(engine, "beta", Value("b"), Seconds(2));
+    api::Put(engine, "alpha", Value(3), Seconds(3));
+    api::Delete(engine, "beta", Seconds(4));
+    api::Get(engine, "alpha");  // One read, counted in the snapshot.
   };
   ShardedTtkv one(1);
   ShardedTtkv many(7);
@@ -90,8 +90,8 @@ TEST(ShardedTtkv, SnapshotMergesShardsIndependentOfShardCount) {
 
 TEST(ShardedTtkv, ServerAssignedTimestampsAreMonotonicPerKey) {
   ShardedTtkv engine(2);
-  for (int i = 0; i < 100; ++i) engine.Put("hot", Value(i));  // t = 0 → stamped.
-  const auto record = engine.History("hot");
+  for (int i = 0; i < 100; ++i) api::Put(engine, "hot", Value(i));  // t = 0 → stamped.
+  const auto record = api::History(engine, "hot");
   ASSERT_TRUE(record.has_value());
   ASSERT_EQ(record->versions.size(), 100u);
   for (size_t i = 1; i < record->versions.size(); ++i) {
@@ -103,11 +103,11 @@ TEST(ShardedTtkv, CompactBeforeSpansShards) {
   ShardedTtkv engine(4);
   for (int k = 0; k < 16; ++k) {
     const std::string key = "key" + std::to_string(k);
-    for (int v = 0; v < 4; ++v) engine.Put(key, Value(v), Seconds(10 * (v + 1)));
+    for (int v = 0; v < 4; ++v) api::Put(engine, key, Value(v), Seconds(10 * (v + 1)));
   }
   const size_t dropped = engine.CompactBefore(Seconds(35));
   EXPECT_EQ(dropped, 16u * 2u);  // Versions at 10s and 20s go; 30s survives as the floor.
-  EXPECT_EQ(engine.GetAt("key0", Seconds(36)), Value(2));
+  EXPECT_EQ(api::GetAt(engine, "key0", Seconds(36)), Value(2));
   EXPECT_EQ(engine.Stats().ttkv.writes, 64u);  // Lifetime counters unaffected.
 }
 
@@ -116,9 +116,9 @@ TEST(ShardedTtkv, ClusterNowFindsCoModifiedKeys) {
   // Three bursts of {a, b} within a window, plus a solo key far away.
   for (int burst = 0; burst < 3; ++burst) {
     const TimeMicros t = Seconds(100 * (burst + 1));
-    engine.Put("grp/a", Value(burst), t);
-    engine.Put("grp/b", Value(burst), t + Seconds(0.2));
-    engine.Put("solo", Value(burst), t + Seconds(50));
+    api::Put(engine, "grp/a", Value(burst), t);
+    api::Put(engine, "grp/b", Value(burst), t + Seconds(0.2));
+    api::Put(engine, "solo", Value(burst), t + Seconds(50));
   }
   const auto clusters = engine.ClusterNow(1.5);
   bool found = false;
@@ -134,8 +134,8 @@ TEST(ShardedTtkv, ClusterNowFindsCoModifiedKeys) {
 TEST(ShardedTtkv, RejectsEmptyKeysAndZeroShards) {
   EXPECT_THROW(ShardedTtkv(0), Error);
   ShardedTtkv engine(2);
-  EXPECT_THROW(engine.Put("", Value(1)), StoreError);
-  EXPECT_THROW(engine.Delete(""), StoreError);
+  EXPECT_THROW(api::Put(engine, "", Value(1)), StoreError);
+  EXPECT_THROW(api::Delete(engine, ""), StoreError);
 }
 
 // --- Concurrency ------------------------------------------------------------
@@ -165,7 +165,7 @@ TEST(ShardedTtkvConcurrency, DisjointShardWritersMatchSingleThreadedReplay) {
   const auto write_shard = [&](ShardedTtkv& engine, size_t shard) {
     for (int v = 0; v < kWritesPerKey; ++v) {
       for (const std::string& key : keys_by_shard[shard]) {
-        engine.Put(key, Value(v), Seconds(v + 1));
+        api::Put(engine, key, Value(v), Seconds(v + 1));
       }
     }
   };
@@ -200,7 +200,7 @@ TEST(ShardedTtkvConcurrency, CollidingWritersKeepDeterministicCounters) {
     threads.emplace_back([&, id] {
       for (int i = 0; i < kWritesPerThread; ++i) {
         // Server-assigned timestamps: colliding writers must never throw.
-        engine.Put(hot_keys[(id + i) % hot_keys.size()], Value(id * kWritesPerThread + i));
+        api::Put(engine, hot_keys[(id + i) % hot_keys.size()], Value(id * kWritesPerThread + i));
       }
     });
   }
@@ -213,7 +213,7 @@ TEST(ShardedTtkvConcurrency, CollidingWritersKeepDeterministicCounters) {
 
   uint64_t versions = 0;
   for (const std::string& key : hot_keys) {
-    const auto record = engine.History(key);
+    const auto record = api::History(engine, key);
     ASSERT_TRUE(record.has_value());
     versions += record->versions.size();
     for (size_t i = 1; i < record->versions.size(); ++i) {
@@ -234,9 +234,9 @@ TEST(ShardedTtkvConcurrency, MixedOpsUnderContention) {
     threads.emplace_back([&, id] {
       for (int i = 0; i < kOpsPerWriter; ++i) {
         const std::string key = "mix/key" + std::to_string(i % 17);
-        engine.Put(key, Value(id), 0);
-        engine.Get(key);
-        if (i % 10 == 9) engine.Delete(key);
+        api::Put(engine, key, Value(id), 0);
+        api::Get(engine, key);
+        if (i % 10 == 9) api::Delete(engine, key);
       }
     });
   }
@@ -261,14 +261,14 @@ TEST(ShardedTtkvConcurrency, MixedOpsUnderContention) {
 
 TEST(ShardedTtkvSharedLocks, ReadsTakeSharedLocksWritesTakeExclusive) {
   ShardedTtkv engine(4);
-  engine.Put("rw/key", Value(1), Seconds(1));  // 1 exclusive.
+  api::Put(engine, "rw/key", Value(1), Seconds(1));  // 1 exclusive.
   const uint64_t writes_after_put = engine.write_lock_acquisitions();
   EXPECT_GE(writes_after_put, 1u);
   EXPECT_EQ(engine.read_lock_acquisitions(), 0u);
 
-  engine.Get("rw/key");               // shared
-  engine.GetAt("rw/key", Seconds(1));  // shared
-  engine.History("rw/key");            // shared
+  api::Get(engine, "rw/key");               // shared
+  api::GetAt(engine, "rw/key", Seconds(1));  // shared
+  api::History(engine, "rw/key");            // shared
   EXPECT_EQ(engine.read_lock_acquisitions(), 3u);
   EXPECT_EQ(engine.write_lock_acquisitions(), writes_after_put);
 
@@ -287,7 +287,7 @@ TEST(ShardedTtkvSharedLocks, ReadOnlyBatchGroupsTakeSharedLocks) {
   constexpr size_t kShards = 4;
   ShardedTtkv engine(kShards);
   for (int i = 0; i < 16; ++i) {
-    engine.Put("batch/key" + std::to_string(i), Value(i), Seconds(i + 1));
+    api::Put(engine, "batch/key" + std::to_string(i), Value(i), Seconds(i + 1));
   }
   const uint64_t reads_before = engine.read_lock_acquisitions();
   const uint64_t writes_before = engine.write_lock_acquisitions();
@@ -317,21 +317,21 @@ TEST(ShardedTtkvSharedLocks, ConcurrentReadersAndWritersKeepCountsExact) {
   constexpr int kWriters = 2;
   constexpr int kOps = 400;
   ShardedTtkv engine(2);  // Few shards: force same-shard reader overlap.
-  engine.Put("hot/key", Value(0), Seconds(1));
+  api::Put(engine, "hot/key", Value(0), Seconds(1));
 
   std::vector<std::thread> threads;
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&] {
       for (int i = 0; i < kOps; ++i) {
-        engine.Get("hot/key");
-        const auto record = engine.History("hot/key");
+        api::Get(engine, "hot/key");
+        const auto record = api::History(engine, "hot/key");
         ASSERT_TRUE(record.has_value());
       }
     });
   }
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
-      for (int i = 0; i < kOps; ++i) engine.Put("hot/key", Value(w * kOps + i), 0);
+      for (int i = 0; i < kOps; ++i) api::Put(engine, "hot/key", Value(w * kOps + i), 0);
     });
   }
   for (std::thread& t : threads) t.join();

@@ -86,7 +86,7 @@ TEST(ThreadSafetySmoke, AnnotatedCodeRunsIdentically) {
 TEST(ThreadSafetySmoke, LockdepGuardsCompose) {
   // The four lockdep guard types built on the annotated wrappers — the
   // exact shapes the production code uses.
-  lockdep::ordered_mutex mu{lockdep::kLocalEngineClass};
+  lockdep::ordered_mutex mu{lockdep::kTrackerClass};
   lockdep::ordered_shared_mutex smu{lockdep::kShardClass};
   {
     const lockdep::guard lock(mu);

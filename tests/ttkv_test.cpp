@@ -1,11 +1,40 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.h"
 #include "ttkv/serialize.h"
 #include "ttkv/ttkv.h"
 #include "ttkv/value.h"
 
 namespace ocasta {
+
+// gtest prints a type that has no printer as its raw object bytes, which for
+// a Value include heap pointers; ctest names embed that print, so they would
+// change from one build to the next.
+void PrintTo(const Value& value, std::ostream* os) {
+  switch (value.type()) {
+    case ValueType::kNone:
+      *os << "none";
+      return;
+    case ValueType::kBool:
+      *os << (value.as_bool() ? "true" : "false");
+      return;
+    case ValueType::kInt:
+      *os << value.as_int();
+      return;
+    case ValueType::kReal:
+      *os << "real " << value.as_real();
+      return;
+    case ValueType::kString:
+      *os << ::testing::PrintToString(value.as_string());
+      return;
+    case ValueType::kStringList:
+      *os << ::testing::PrintToString(value.as_list());
+      return;
+  }
+}
+
 namespace {
 
 // ----- Value ---------------------------------------------------------------------
@@ -45,6 +74,8 @@ struct DisplayCase {
   Value value;
   std::string display;
 };
+
+void PrintTo(const DisplayCase& c, std::ostream* os) { *os << ::testing::PrintToString(c.value); }
 
 class ValueDisplayTest : public ::testing::TestWithParam<DisplayCase> {};
 

@@ -48,7 +48,7 @@
 //   remote <op> [args] [--backend --host --port --shards --window
 //                       --data-dir --fsync]
 //       drive any api::Engine backend (default: remote, a running ocastad);
-//       --data-dir makes a local/sharded backend durable
+//       --data-dir makes the sharded backend durable
 //       ops: ping, put <key> <value>, get <key>, delete <key> [--force],
 //            history <key>, stats, list [prefix], cluster [--threshold
 //            --linkage], compact <seconds>, snapshot <out.ttkv>, shutdown
@@ -336,7 +336,7 @@ int CmdRemote(const Args& args) {
     return args.positional[i];
   };
   // The op runs against whichever backend --backend picks; "remote" (the
-  // default) talks to a running ocastad, "sharded"/"local" run in-process.
+  // default) talks to a running ocastad, "sharded" runs in-process.
   const std::unique_ptr<api::Engine> engine = api::MakeEngine(BackendFromArgs(args, "remote"));
   if (op == "ping") {
     api::Ping(*engine);
