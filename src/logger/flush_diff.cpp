@@ -12,9 +12,15 @@ void FlushDiffLogger::Attach(FileConfigStore& store) {
       [this](const std::string& before, const std::string& after) { OnFlush(before, after); });
 }
 
+ConfigMap FlushDiffLogger::Parse(const std::string& text) const {
+  return text.empty() ? ConfigMap{} : codec_->Parse(text);
+}
+
 void FlushDiffLogger::OnFlush(const std::string& before_text, const std::string& after_text) {
-  const ConfigMap before = before_text.empty() ? ConfigMap{} : codec_->Parse(before_text);
-  const ConfigMap after = after_text.empty() ? ConfigMap{} : codec_->Parse(after_text);
+  const bool cached = before_text == last_after_text_;
+  ConfigMap parsed_before = cached ? ConfigMap{} : Parse(before_text);
+  const ConfigMap& before = cached ? last_after_ : parsed_before;
+  ConfigMap after = Parse(after_text);
   for (const ConfigDelta& delta : DiffConfigMaps(before, after)) {
     AccessEvent event;
     event.timestamp = clock_.now();
@@ -29,6 +35,8 @@ void FlushDiffLogger::OnFlush(const std::string& before_text, const std::string&
     }
     sink_.OnAccess(event);
   }
+  last_after_text_ = after_text;
+  last_after_ = std::move(after);
 }
 
 }  // namespace ocasta

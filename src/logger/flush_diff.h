@@ -8,6 +8,8 @@
 //  - several modifications to one key between flushes collapse into one
 //    observed write;
 //  - all keys changed in one flush share a timestamp (the flush time).
+// A store's flushes chain (each before text is the previous after text), so
+// the logger keeps its last parse and parses each file text once.
 #pragma once
 
 #include <string>
@@ -29,14 +31,20 @@ class FlushDiffLogger {
   // the same format this logger was constructed with.
   void Attach(FileConfigStore& store);
 
-  // Diff two file texts and emit events (callable directly in tests).
+  // Diff two file texts and emit events (callable directly in tests). A
+  // before text equal to the previous call's after text reuses that parse;
+  // any other before text is parsed afresh.
   void OnFlush(const std::string& before_text, const std::string& after_text);
 
  private:
+  ConfigMap Parse(const std::string& text) const;
+
   std::string app_;
   const FormatCodec* codec_;
   const SimClock& clock_;
   AccessSink& sink_;
+  std::string last_after_text_;  // Empty text parses to the empty map.
+  ConfigMap last_after_;
 };
 
 }  // namespace ocasta

@@ -8,8 +8,8 @@ std::optional<Value> SandboxStore::Read(const std::string& key) {
   if (tombstones_.count(key)) return std::nullopt;
   auto it = overlay_.find(key);
   if (it != overlay_.end()) return it->second;
-  auto base_it = base_.find(key);
-  if (base_it != base_.end()) return base_it->second;
+  auto base_it = base_->find(key);
+  if (base_it != base_->end()) return base_it->second;
   return std::nullopt;
 }
 
@@ -21,7 +21,7 @@ void SandboxStore::Write(const std::string& key, Value value) {
 bool SandboxStore::Remove(const std::string& key) {
   const bool existed = Read(key).has_value();
   overlay_.erase(key);
-  if (base_.count(key)) tombstones_.insert(key);
+  if (base_->count(key)) tombstones_.insert(key);
   return existed;
 }
 
@@ -33,13 +33,13 @@ std::vector<std::string> SandboxStore::ListKeys(const std::string& prefix) const
     keys.push_back(key);
   };
   // Merge the two ordered maps.
-  auto ib = base_.begin();
+  auto ib = base_->begin();
   auto io = overlay_.begin();
-  while (ib != base_.end() || io != overlay_.end()) {
-    if (io == overlay_.end() || (ib != base_.end() && ib->first < io->first)) {
+  while (ib != base_->end() || io != overlay_.end()) {
+    if (io == overlay_.end() || (ib != base_->end() && ib->first < io->first)) {
       consider(ib->first);
       ++ib;
-    } else if (ib == base_.end() || io->first < ib->first) {
+    } else if (ib == base_->end() || io->first < ib->first) {
       consider(io->first);
       ++io;
     } else {
@@ -52,7 +52,7 @@ std::vector<std::string> SandboxStore::ListKeys(const std::string& prefix) const
 }
 
 ConfigMap SandboxStore::Snapshot() const {
-  ConfigMap merged = base_;
+  ConfigMap merged = *base_;
   for (const auto& [key, value] : overlay_) merged[key] = value;
   for (const std::string& key : tombstones_) merged.erase(key);
   return merged;
@@ -61,7 +61,7 @@ ConfigMap SandboxStore::Snapshot() const {
 void SandboxStore::RestoreSnapshot(const ConfigMap& state) {
   overlay_ = state;
   tombstones_.clear();
-  for (const auto& [key, value] : base_) {
+  for (const auto& [key, value] : *base_) {
     if (!state.count(key)) tombstones_.insert(key);
   }
 }

@@ -4,9 +4,11 @@
 // leave any persistent changes". SandboxStore is a copy-on-write overlay
 // over a base configuration: reads fall through to the base, writes and
 // deletions land in the overlay, and dropping the sandbox discards
-// everything. One sandbox per trial.
+// everything. One sandbox per trial; all of a search's sandboxes share one
+// immutable base.
 #pragma once
 
+#include <memory>
 #include <set>
 
 #include "configstore/config_store.h"
@@ -15,9 +17,15 @@ namespace ocasta {
 
 class SandboxStore final : public ConfigStore {
  public:
-  // `base` is the live (erroneous) configuration; it is captured by value
-  // so the sandbox stays stable even if the caller mutates its copy.
-  SandboxStore(ConfigMap base, StoreKind kind) : base_(std::move(base)), kind_(kind) {}
+  // `base` (non-null) is the live (erroneous) configuration. It is shared
+  // and never written: any number of sandboxes may read through one base,
+  // and each keeps its own changes in its overlay.
+  SandboxStore(std::shared_ptr<const ConfigMap> base, StoreKind kind)
+      : base_(std::move(base)), kind_(kind) {}
+
+  // Same, over a base of its own.
+  SandboxStore(ConfigMap base, StoreKind kind)
+      : SandboxStore(std::make_shared<const ConfigMap>(std::move(base)), kind) {}
 
   std::optional<Value> Read(const std::string& key) override;
   void Write(const std::string& key, Value value) override;
@@ -33,7 +41,7 @@ class SandboxStore final : public ConfigStore {
   size_t overlay_size() const { return overlay_.size() + tombstones_.size(); }
 
  private:
-  ConfigMap base_;
+  std::shared_ptr<const ConfigMap> base_;
   ConfigMap overlay_;
   std::set<std::string> tombstones_;
   StoreKind kind_;

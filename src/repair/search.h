@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -93,14 +94,14 @@ struct RepairOutcome {
 class RepairController {
  public:
   // `ttkv` and `clusters` describe the application's recorded history;
-  // `current_state` is its live (erroneous) configuration; `store_kind`
-  // matches the application's store. None of the references are retained
-  // beyond Run().
+  // `current_state` is its live (erroneous) configuration, kept once as the
+  // shared base of every trial's sandbox; `store_kind` matches the
+  // application's store. None of the references are retained beyond Run().
   RepairController(const TTKV& ttkv, const ClusterSet& clusters, ConfigMap current_state,
                    StoreKind store_kind, Trial trial, const UserOracle& oracle)
       : ttkv_(ttkv),
         clusters_(clusters),
-        current_state_(std::move(current_state)),
+        current_state_(std::make_shared<const ConfigMap>(std::move(current_state))),
         store_kind_(store_kind),
         trial_(std::move(trial)),
         oracle_(oracle) {}
@@ -110,7 +111,7 @@ class RepairController {
  private:
   const TTKV& ttkv_;
   const ClusterSet& clusters_;
-  ConfigMap current_state_;
+  std::shared_ptr<const ConfigMap> current_state_;
   StoreKind store_kind_;
   Trial trial_;
   const UserOracle& oracle_;

@@ -50,7 +50,9 @@ std::vector<RequiredKeyOracle::Requirement> OracleRequirements(const ErrorScenar
 
 ScenarioRun RunScenario(const MachineTrace& machine, const ErrorScenario& scenario,
                         const ScenarioRunOptions& options) {
-  MachineTrace run_machine = machine;  // Injection mutates the trace.
+  // Every step below is per-application, so it runs on the app's slice;
+  // injection mutates it.
+  MachineTrace run_machine = AppSlice(machine, scenario.app);
   const AppSchema& schema = run_machine.SchemaFor(scenario.app);
 
   const TimeMicros t_inj =
@@ -104,7 +106,7 @@ ScenarioRun RunScenario(const MachineTrace& machine, const ErrorScenario& scenar
   const ClusterSet clusters =
       RemapClusters(clean_clusters, ttkv_clean, ttkv, params.window_seconds);
 
-  const ConfigMap current_state = run_machine.final_configs.at(scenario.app);
+  const ConfigMap& current_state = run_machine.final_configs.at(scenario.app);
   const RequiredKeyOracle oracle(OracleRequirements(scenario, good_state));
   const Trial trial{scenario.app, [schema](ConfigStore& store) {
                       return RenderApp(schema, store);

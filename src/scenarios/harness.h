@@ -1,7 +1,9 @@
 // Scenario harness: runs one Table III error end-to-end.
 //
 // Pipeline (mirroring Section VI-B of the paper):
-//   1. take a generated machine trace;
+//   1. take the application's slice of a generated machine trace: its own
+//      events, schema, configs and read counters (every later step is
+//      per-application, so the other applications' events are never copied);
 //   2. capture the application's good state 14 days before the trace ends;
 //   3. inject the erroneous writes/deletions (plus optional spurious
 //      fix-attempt writes) into the trace;
@@ -44,9 +46,9 @@ struct ScenarioRun {
   size_t total_clusters = 0;
 };
 
-// Runs a scenario against a copy of `machine` (which must host the
-// scenario's application — typically generated from the scenario's Table I
-// profile).
+// Runs a scenario against a copy of the application's slice of `machine`
+// (which must host the scenario's application — typically generated from
+// the scenario's Table I profile).
 ScenarioRun RunScenario(const MachineTrace& machine, const ErrorScenario& scenario,
                         const ScenarioRunOptions& options);
 

@@ -419,6 +419,22 @@ MachineTrace GenerateMachineTrace(const MachineProfile& profile) {
   return GenerateMachineTrace(profile, std::move(schemas));
 }
 
+MachineTrace AppSlice(const MachineTrace& machine, const std::string& app) {
+  MachineTrace slice;
+  slice.profile = machine.profile;
+  slice.schemas = {machine.SchemaFor(app)};
+  slice.trace = machine.trace.FilterByApp(app);
+  const auto copy_entry = [&app](const auto& from, auto& to) {
+    auto it = from.find(app);
+    if (it != from.end()) to.emplace(app, it->second);
+  };
+  copy_entry(machine.initial_configs, slice.initial_configs);
+  copy_entry(machine.final_configs, slice.final_configs);
+  copy_entry(machine.read_counts, slice.read_counts);
+  slice.end_time = machine.end_time;
+  return slice;
+}
+
 TTKV BuildAppTtkv(const MachineTrace& machine, const std::string& app, bool quantize) {
   TTKV ttkv;
   TtkvRecorder recorder(ttkv, quantize);

@@ -51,6 +51,13 @@ MachineTrace GenerateMachineTrace(const MachineProfile& profile);
 MachineTrace GenerateMachineTrace(const MachineProfile& profile,
                                   std::vector<AppSchema> schemas);
 
+// One application's slice of a machine: its own events, its schema, its
+// initial and final configs and read counters, with the machine's profile
+// and end time. Every per-application helper here and in inject.h gives
+// the same result on the slice as on the whole machine. Throws Error if
+// the machine does not host `app`.
+MachineTrace AppSlice(const MachineTrace& machine, const std::string& app);
+
 // Rebuilds one application's TTKV from a machine trace: write/delete events
 // recorded at (by default) second granularity plus bulk read counters.
 TTKV BuildAppTtkv(const MachineTrace& machine, const std::string& app, bool quantize = true);

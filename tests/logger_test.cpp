@@ -216,6 +216,70 @@ TEST(FlushDiffLogger, CollapsesIntermediateWrites) {
   EXPECT_EQ(log.events()[0].value, Value(3));
 }
 
+// The events one OnFlush(before, after) emits from a logger with no history,
+// which parses both texts.
+std::vector<AccessEvent> FreshDiff(ConfigFormat format, const SimClock& clock,
+                                   const std::string& before, const std::string& after) {
+  TraceLog log;
+  FlushDiffLogger("App", format, clock, log).OnFlush(before, after);
+  return log.events();
+}
+
+std::vector<AccessEvent> EventsFrom(const TraceLog& log, size_t first) {
+  return {log.events().begin() + static_cast<std::ptrdiff_t>(first), log.events().end()};
+}
+
+TEST(FlushDiffLogger, BeforeTextUnlikeLastAfterIsParsedAfresh) {
+  // The logger reuses its parse of the previous after text only when the
+  // next before text is that same string.
+  const std::string a = R"({"x": 1})";
+  const std::string b = R"({"x": 2, "y": 3})";
+  const std::string c = R"({"x": 5, "z": 9})";
+  const std::string d = R"({"x": 5, "w": 1})";
+  const std::string e = R"({"w": 2})";
+  SimClock clock;
+  TraceLog log;
+  FlushDiffLogger logger("App", ConfigFormat::kJson, clock, log);
+  logger.OnFlush(a, b);
+  EXPECT_EQ(log.events(), FreshDiff(ConfigFormat::kJson, clock, a, b));
+
+  size_t mark = log.size();
+  logger.OnFlush(c, d);  // c is not the last after text (b).
+  EXPECT_EQ(EventsFrom(log, mark), FreshDiff(ConfigFormat::kJson, clock, c, d));
+
+  mark = log.size();
+  logger.OnFlush(d, e);  // d is: its parse is reused.
+  EXPECT_EQ(EventsFrom(log, mark), FreshDiff(ConfigFormat::kJson, clock, d, e));
+  ASSERT_EQ(log.size() - mark, 2u);
+  EXPECT_EQ(log.events()[mark].key, "w");
+  EXPECT_EQ(log.events()[mark].value, Value(2));
+  EXPECT_EQ(log.events()[mark + 1].op, AccessOp::kDelete);
+  EXPECT_EQ(log.events()[mark + 1].key, "x");
+}
+
+TEST(FlushDiffLogger, LoadFileTextBetweenFlushesIsDiffedAgainstTheLoadedText) {
+  const FormatCodec& codec = CodecFor(ConfigFormat::kIni);
+  SimClock clock;
+  TraceLog log;
+  FileConfigStore store(ConfigFormat::kIni);
+  FlushDiffLogger logger("App", ConfigFormat::kIni, clock, log);
+  logger.Attach(store);
+  store.Write("view/zoom", Value(2));
+  ASSERT_EQ(log.size(), 1u);
+
+  // A reload (the application restarting on an edited file) replaces the
+  // text the next flush starts from; only the write after it is new.
+  const std::string loaded =
+      codec.Serialize({{"view/zoom", Value(7)}, {"view/mode", Value("dark")}});
+  store.LoadFileText(loaded);
+  store.Write("view/grid", Value(true));
+  const std::vector<AccessEvent> events = EventsFrom(log, 1);
+  EXPECT_EQ(events, FreshDiff(ConfigFormat::kIni, clock, loaded, store.file_text()));
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].key, "view/grid");
+  EXPECT_EQ(events[0].value, Value(true));
+}
+
 TEST(FlushDiffLogger, FormatMismatchThrows) {
   SimClock clock;
   TraceLog log;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "apps/render.h"
 #include "clustering/engine.h"
 #include "repair/sandbox.h"
@@ -55,6 +57,38 @@ TEST(Sandbox, RestoreSnapshotReplacesEverything) {
   EXPECT_EQ(sandbox.Read("a"), std::nullopt);
   EXPECT_EQ(sandbox.Read("b"), std::nullopt);
   EXPECT_EQ(sandbox.Read("c"), Value(3));
+}
+
+TEST(Sandbox, SharedBaseStaysIsolated) {
+  // A search's sandboxes all read through one base; no sandbox's changes
+  // may show through another or reach the base.
+  const ConfigMap original{{"a", Value(1)}, {"b", Value(2)}};
+  const auto base = std::make_shared<const ConfigMap>(original);
+  SandboxStore one(base, StoreKind::kGconf);
+  SandboxStore two(base, StoreKind::kGconf);
+
+  one.Write("a", Value(99));
+  one.Write("c", Value(3));
+  EXPECT_TRUE(one.Remove("b"));
+  EXPECT_EQ(one.Snapshot(), (ConfigMap{{"a", Value(99)}, {"c", Value(3)}}));
+  EXPECT_EQ(two.Snapshot(), original);
+  EXPECT_EQ(two.ListKeys(""), (std::vector<std::string>{"a", "b"}));
+
+  two.Write("b", Value(20));
+  EXPECT_TRUE(two.Remove("a"));
+  EXPECT_EQ(one.Read("a"), Value(99));
+  EXPECT_EQ(one.Read("b"), std::nullopt);
+
+  one.RestoreSnapshot({{"d", Value(4)}});
+  EXPECT_EQ(one.Snapshot(), (ConfigMap{{"d", Value(4)}}));
+  EXPECT_EQ(two.Snapshot(), (ConfigMap{{"b", Value(20)}}));
+
+  one.Reset();
+  EXPECT_EQ(one.Snapshot(), original);
+  EXPECT_EQ(two.Snapshot(), (ConfigMap{{"b", Value(20)}}));
+  two.Reset();
+  EXPECT_EQ(two.Snapshot(), original);
+  EXPECT_EQ(*base, original);
 }
 
 // ----- Cluster versions ------------------------------------------------------------------

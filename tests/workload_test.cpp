@@ -174,6 +174,29 @@ TEST(BuildAppTtkv, QuantizesAndCounts) {
   EXPECT_EQ(ttkv.stats().writes, trace_stats.writes);
 }
 
+TEST(AppSlice, KeepsOneApplicationsWholeHistory) {
+  const MachineTrace machine = MiniMachine();
+  const MachineTrace slice = AppSlice(machine, kGnomeEdit);
+  EXPECT_EQ(slice.trace.events(), machine.trace.FilterByApp(kGnomeEdit).events());
+  ASSERT_EQ(slice.schemas.size(), 1u);
+  EXPECT_EQ(slice.schemas[0].name, kGnomeEdit);
+  EXPECT_EQ(slice.initial_configs.size(), 1u);
+  EXPECT_EQ(slice.initial_configs.at(kGnomeEdit), machine.initial_configs.at(kGnomeEdit));
+  EXPECT_EQ(slice.final_configs.size(), 1u);
+  EXPECT_EQ(slice.final_configs.at(kGnomeEdit), machine.final_configs.at(kGnomeEdit));
+  EXPECT_EQ(slice.read_counts.size(), 1u);
+  EXPECT_EQ(slice.read_counts.at(kGnomeEdit), machine.read_counts.at(kGnomeEdit));
+  EXPECT_EQ(slice.end_time, machine.end_time);
+  EXPECT_EQ(slice.profile.name, machine.profile.name);
+
+  // The per-application helpers cannot tell the slice from the machine.
+  EXPECT_EQ(BuildAppTtkv(slice, kGnomeEdit).Serialize(),
+            BuildAppTtkv(machine, kGnomeEdit).Serialize());
+  const TimeMicros t = machine.end_time - Days(5);
+  EXPECT_EQ(SnapshotAt(slice, kGnomeEdit, t), SnapshotAt(machine, kGnomeEdit, t));
+  EXPECT_THROW(AppSlice(machine, "No Such App"), Error);
+}
+
 TEST(BuildAppTtkvAcrossMachines, DisjointTimeRanges) {
   const MachineTrace a = MiniMachine();
   MachineProfile profile2 = MiniProfile();
