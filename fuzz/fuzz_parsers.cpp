@@ -4,10 +4,13 @@
 // is the file text. Contract: Parse returns a ConfigMap or throws
 // ParseError/Error — no crashes, no UB on hostile text. Maps that parse
 // must survive Serialize -> Parse (the codec.h idempotency contract for
-// representable maps).
+// representable maps). PSKV text is also parsed by the reference parser in
+// tests/pskv_reference.h, and any disagreement (map, or error message and
+// line) traps.
 #include <cstdint>
 #include <string>
 
+#include "../tests/pskv_reference.h"
 #include "common/error.h"
 #include "parsers/codec.h"
 
@@ -20,6 +23,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   };
   const ocasta::FormatCodec& codec = ocasta::CodecFor(kFormats[data[0] % 5]);
   const std::string text(reinterpret_cast<const char*>(data + 1), size - 1);
+  if (codec.format() == ocasta::ConfigFormat::kPskv) {
+    namespace ref = ocasta::pskv_reference;
+    const ref::Outcome got = ref::Run([&](const std::string& t) { return codec.Parse(t); }, text);
+    if (!ref::SameOutcome(got, ref::Run(ref::Parse, text))) __builtin_trap();
+  }
   ocasta::ConfigMap map;
   try {
     map = codec.Parse(text);

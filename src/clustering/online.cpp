@@ -36,6 +36,7 @@ void OnlineClusterTracker::OnAccess(const AccessEvent& event) {
     names_.push_back(event.key);
     last_modified_.push_back(t);
     key_group_counts_.push_back(0);
+    open_group_number_.push_back(0);
   }
   last_modified_[it->second] = t;
 
@@ -45,7 +46,12 @@ void OnlineClusterTracker::OnAccess(const AccessEvent& event) {
     open_group_.clear();
     has_open_group_ = false;
   }
-  open_group_.push_back(it->second);
+  // Groups are numbered from 1, so the open one is groups_committed_ + 1
+  // and a commit retires every key's mark at once.
+  if (open_group_number_[it->second] != groups_committed_ + 1) {
+    open_group_number_[it->second] = groups_committed_ + 1;
+    open_group_.push_back(it->second);
+  }
   open_group_end_ = t;
   has_open_group_ = true;
 }

@@ -38,6 +38,9 @@ class OnlineClusterTracker final : public AccessSink {
   // Total committed co-modification groups (open burst excluded).
   uint64_t group_count() const { return groups_committed_; }
 
+  // Distinct keys in the open burst.
+  size_t open_group_size() const { return open_group_.size(); }
+
   // Clusters the keys observed so far. The open burst (writes newer than
   // `window` before the last event) is included as one group. Cluster
   // version counts are each cluster's most-modified member's group count —
@@ -62,8 +65,9 @@ class OnlineClusterTracker final : public AccessSink {
   uint64_t groups_committed_ = 0;
 
   // The open burst: distinct key ids written within `window_` of the
-  // previous write.
+  // previous write, each added once however often it is rewritten.
   std::vector<uint32_t> open_group_;
+  std::vector<uint64_t> open_group_number_;  // Per key: last group it joined.
   TimeMicros open_group_end_ = 0;
   bool has_open_group_ = false;
 };

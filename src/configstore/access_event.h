@@ -34,6 +34,9 @@ class AccessSink {
  public:
   virtual ~AccessSink() = default;
   virtual void OnAccess(const AccessEvent& event) = 0;
+  // For an event the caller is done with; a sink that keeps events
+  // overrides this to take it without a copy.
+  virtual void OnAccess(AccessEvent&& event) { OnAccess(static_cast<const AccessEvent&>(event)); }
 };
 
 }  // namespace ocasta

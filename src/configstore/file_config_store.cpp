@@ -12,7 +12,7 @@ void FileConfigStore::LoadFileText(const std::string& text) {
 
 void FileConfigStore::Flush() {
   if (!dirty_) return;
-  const std::string before = file_text_;
+  const std::string before = std::move(file_text_);
   file_text_ = codec_->Serialize(state_);
   dirty_ = false;
   if (flush_observer_) flush_observer_(before, file_text_);

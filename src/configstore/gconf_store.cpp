@@ -1,7 +1,6 @@
 #include "configstore/gconf_store.h"
 
 #include "common/error.h"
-#include "common/strings.h"
 
 namespace ocasta {
 
@@ -12,9 +11,8 @@ void GconfStore::ValidateKey(const std::string& key) const {
   if (key.size() == 1 || key.back() == '/') {
     throw StoreError("gconf key must not end with '/': " + key);
   }
-  const auto segments = Split(key.substr(1), '/');
-  for (const std::string& segment : segments) {
-    if (segment.empty()) throw StoreError("gconf key has an empty segment: " + key);
+  if (key.find("//") != std::string::npos) {
+    throw StoreError("gconf key has an empty segment: " + key);
   }
 }
 

@@ -21,19 +21,14 @@ void FlushDiffLogger::OnFlush(const std::string& before_text, const std::string&
   ConfigMap parsed_before = cached ? ConfigMap{} : Parse(before_text);
   const ConfigMap& before = cached ? last_after_ : parsed_before;
   ConfigMap after = Parse(after_text);
-  for (const ConfigDelta& delta : DiffConfigMaps(before, after)) {
-    AccessEvent event;
-    event.timestamp = clock_.now();
-    event.app = app_;
-    event.store = StoreKind::kFile;
-    event.key = delta.key;
-    if (delta.kind == ConfigDelta::Kind::kWrite) {
-      event.op = AccessOp::kWrite;
-      event.value = delta.value;
-    } else {
-      event.op = AccessOp::kDelete;
-    }
-    sink_.OnAccess(event);
+  for (ConfigDelta& delta : DiffConfigMaps(before, after)) {
+    const bool write = delta.kind == ConfigDelta::Kind::kWrite;
+    sink_.OnAccess(AccessEvent{.timestamp = clock_.now(),
+                               .app = app_,
+                               .store = StoreKind::kFile,
+                               .op = write ? AccessOp::kWrite : AccessOp::kDelete,
+                               .key = std::move(delta.key),
+                               .value = write ? std::move(delta.value) : Value()});
   }
   last_after_text_ = after_text;
   last_after_ = std::move(after);

@@ -28,6 +28,7 @@ struct TraceStats {
 class TraceLog final : public AccessSink {
  public:
   void OnAccess(const AccessEvent& event) override { events_.push_back(event); }
+  void OnAccess(AccessEvent&& event) override { events_.push_back(std::move(event)); }
 
   const std::vector<AccessEvent>& events() const { return events_; }
   size_t size() const { return events_.size(); }

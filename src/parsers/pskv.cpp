@@ -1,7 +1,8 @@
 #include "parsers/pskv.h"
 
-#include <cctype>
+#include <algorithm>
 #include <cstdlib>
+#include <string_view>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -10,6 +11,14 @@ namespace ocasta {
 
 namespace {
 
+// std::isspace in the "C" locale, the only locale a parse runs in (nothing
+// calls setlocale): ' ', '\t', '\n', '\v', '\f' and '\r'.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+// Single pass over the text. Names and words are views into it, the path of
+// the enclosing dicts lives in one reused buffer, and each value goes into
+// the map with an end() hint: the flat serializer writes paths in map
+// order, so re-parsing its output appends every key in O(1).
 class PskvParser {
  public:
   PskvParser(const std::string& text, ConfigMap& out) : text_(text), out_(out) {}
@@ -18,12 +27,12 @@ class PskvParser {
     while (true) {
       SkipWs();
       if (pos_ >= text_.size()) return;
-      ParsePair("");
+      ParsePair(/*top_level=*/true);
     }
   }
 
  private:
-  [[noreturn]] void Fail(const std::string& what) {
+  [[noreturn]] void Fail(const std::string& what) const {
     size_t line = 1;
     for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
       if (text_[i] == '\n') ++line;
@@ -33,69 +42,98 @@ class PskvParser {
 
   void SkipWs() {
     while (pos_ < text_.size()) {
-      if (std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+      if (IsSpace(text_[pos_])) {
         ++pos_;
       } else if (text_[pos_] == '%') {  // PostScript comment to end of line.
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
+        pos_ = std::min(text_.find('\n', pos_), text_.size());
       } else {
         return;
       }
     }
   }
 
-  std::string ParseName() {
+  // text_[start, pos_).
+  std::string_view Token(size_t start) const {
+    return std::string_view(text_).substr(start, pos_ - start);
+  }
+
+  std::string_view ParseName() {
     if (pos_ >= text_.size() || text_[pos_] != '/') Fail("expected '/name'");
-    ++pos_;
-    const size_t start = pos_;
+    const size_t start = ++pos_;
     // '/' is allowed inside the token: the flat serializer spells nested
     // dict paths as "/a/b", which must re-parse to the same ConfigMap path.
-    while (pos_ < text_.size() && !std::isspace(static_cast<unsigned char>(text_[pos_])) &&
-           text_[pos_] != '(' && text_[pos_] != '[' && text_[pos_] != '<') {
+    while (pos_ < text_.size() && !IsSpace(text_[pos_]) && text_[pos_] != '(' &&
+           text_[pos_] != '[' && text_[pos_] != '<') {
       ++pos_;
     }
     if (pos_ == start) Fail("empty name");
-    return text_.substr(start, pos_ - start);
+    return Token(start);
   }
 
-  std::string ParseWord() {
+  std::string_view ParseWord() {
     SkipWs();
     const size_t start = pos_;
-    while (pos_ < text_.size() && !std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    return text_.substr(start, pos_ - start);
+    while (pos_ < text_.size() && !IsSpace(text_[pos_])) ++pos_;
+    return Token(start);
   }
 
-  void ExpectWord(const char* word) {
-    const std::string got = ParseWord();
-    if (got != word) Fail(StrFormat("expected '%s', got '%s'", word, got.c_str()));
+  void ExpectDef() {
+    const std::string_view got = ParseWord();
+    // %.*s stops at an embedded NUL, as %s of the word's c_str() would.
+    if (got != "def") {
+      Fail(StrFormat("expected 'def', got '%.*s'", static_cast<int>(got.size()), got.data()));
+    }
   }
 
+  // Caller ensured text_[pos_] == '('. Copies the runs between escapes whole.
   std::string ParseStringLiteral() {
-    // Caller ensured text_[pos_] == '('.
     ++pos_;
     std::string out;
     while (true) {
-      if (pos_ >= text_.size()) Fail("unterminated string literal");
-      const char c = text_[pos_++];
-      if (c == ')') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) Fail("unterminated escape");
-        out += text_[pos_++];
-      } else {
-        out += c;
+      const size_t stop = text_.find_first_of(")\\", pos_);
+      if (stop == std::string::npos) {
+        pos_ = text_.size();
+        Fail("unterminated string literal");
       }
+      out.append(text_, pos_, stop - pos_);
+      pos_ = stop + 1;
+      if (text_[stop] == ')') return out;
+      if (pos_ >= text_.size()) Fail("unterminated escape");
+      out += text_[pos_++];
     }
   }
 
-  void ParsePair(const std::string& prefix) {
-    const std::string name = ParseName();
-    const std::string path = prefix.empty() ? name : prefix + "/" + name;
+  // "/name value", followed by 'def' at the top level; pairs inside
+  // '<< ... >>' have no 'def'. path_ holds the enclosing dict's path on
+  // entry and again on return.
+  void ParsePair(bool top_level) {
+    const size_t parent_size = path_.size();
+    const std::string_view name = ParseName();
+    if (!top_level) path_ += '/';
+    path_ += name;
     SkipWs();
-    if (pos_ >= text_.size()) Fail("missing value for /" + name);
-    const char c = text_[pos_];
-    if (c == '(') {
-      out_[path] = Value(ParseStringLiteral());
-      ExpectWord("def");
-    } else if (c == '[') {
+    if (pos_ >= text_.size()) Fail("missing value for /" + std::string(name));
+    if (text_.compare(pos_, 2, "<<") == 0) {
+      pos_ += 2;
+      while (true) {
+        SkipWs();
+        if (text_.compare(pos_, 2, ">>") == 0) break;
+        ParsePair(/*top_level=*/false);
+      }
+      pos_ += 2;
+    } else {
+      Value value = ParseValue();
+      out_.insert_or_assign(out_.end(), path_, std::move(value));
+    }
+    if (top_level) ExpectDef();
+    path_.resize(parent_size);
+  }
+
+  // A string, a string array, or a bare scalar token: true/false or a
+  // fully-consumed number.
+  Value ParseValue() {
+    if (text_[pos_] == '(') return Value(ParseStringLiteral());
+    if (text_[pos_] == '[') {
       ++pos_;
       std::vector<std::string> items;
       while (true) {
@@ -103,87 +141,40 @@ class PskvParser {
         if (pos_ >= text_.size()) Fail("unterminated array");
         if (text_[pos_] == ']') {
           ++pos_;
-          break;
+          return Value(std::move(items));
         }
         if (text_[pos_] != '(') Fail("only string arrays are supported");
         items.push_back(ParseStringLiteral());
       }
-      out_[path] = Value(std::move(items));
-      ExpectWord("def");
-    } else if (c == '<' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '<') {
-      pos_ += 2;
-      while (true) {
-        SkipWs();
-        if (pos_ + 1 < text_.size() && text_[pos_] == '>' && text_[pos_ + 1] == '>') {
-          pos_ += 2;
-          break;
-        }
-        ParseDictPair(path);
-      }
-      ExpectWord("def");
-    } else {
-      out_[path] = ParseScalarWord();
-      ExpectWord("def");
     }
-  }
-
-  // Parses a bare scalar token: true/false or a fully-consumed number.
-  Value ParseScalarWord() {
-    const std::string word = ParseWord();
+    const std::string_view word = ParseWord();
     if (word == "true") return Value(true);
     if (word == "false") return Value(false);
-    char* end = nullptr;
-    const double d = std::strtod(word.c_str(), &end);
-    if (word.empty() || end != word.c_str() + word.size()) {
-      Fail("malformed value token '" + word + "'");
+    // Up to 18 digits cannot overflow, so this is what strtoll would give.
+    const size_t digits = word.size() - (word.starts_with('-') ? 1 : 0);
+    if (digits >= 1 && digits <= 18 &&
+        word.find_first_not_of("0123456789", word.size() - digits) == std::string_view::npos) {
+      int64_t n = 0;
+      for (char c : word.substr(word.size() - digits)) n = n * 10 + (c - '0');
+      return Value(word.starts_with('-') ? -n : n);
     }
-    if (word.find_first_of(".eE") == std::string::npos) {
-      return Value(static_cast<int64_t>(std::strtoll(word.c_str(), nullptr, 10)));
+    // The word ends at whitespace or at the text's terminating NUL, so the
+    // numeric conversions stop inside it.
+    char* end = nullptr;
+    const double d = std::strtod(word.data(), &end);
+    if (word.empty() || end != word.data() + word.size()) {
+      Fail("malformed value token '" + std::string(word) + "'");
+    }
+    if (word.find_first_of(".eE") == std::string_view::npos) {
+      return Value(static_cast<int64_t>(std::strtoll(word.data(), nullptr, 10)));
     }
     return Value(d);
-  }
-
-  // Inside '<< ... >>' pairs have no trailing 'def'.
-  void ParseDictPair(const std::string& prefix) {
-    const std::string name = ParseName();
-    const std::string path = prefix + "/" + name;
-    SkipWs();
-    if (pos_ >= text_.size()) Fail("missing value for /" + name);
-    const char c = text_[pos_];
-    if (c == '(') {
-      out_[path] = Value(ParseStringLiteral());
-    } else if (c == '[') {
-      ++pos_;
-      std::vector<std::string> items;
-      while (true) {
-        SkipWs();
-        if (pos_ >= text_.size()) Fail("unterminated array");
-        if (text_[pos_] == ']') {
-          ++pos_;
-          break;
-        }
-        if (text_[pos_] != '(') Fail("only string arrays are supported");
-        items.push_back(ParseStringLiteral());
-      }
-      out_[path] = Value(std::move(items));
-    } else if (c == '<' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '<') {
-      pos_ += 2;
-      while (true) {
-        SkipWs();
-        if (pos_ + 1 < text_.size() && text_[pos_] == '>' && text_[pos_ + 1] == '>') {
-          pos_ += 2;
-          break;
-        }
-        ParseDictPair(path);
-      }
-    } else {
-      out_[path] = ParseScalarWord();
-    }
   }
 
   const std::string& text_;
   ConfigMap& out_;
   size_t pos_ = 0;
+  std::string path_;
 };
 
 void AppendString(const std::string& s, std::string& out) {
@@ -236,7 +227,9 @@ std::string PskvCodec::Serialize(const ConfigMap& map) const {
   // dicts; flat output keeps diffs line-oriented like Reader's files.)
   std::string out = "% Ocasta PSKV preferences\n";
   for (const auto& [path, value] : map) {
-    out += "/" + path + " ";
+    out += '/';
+    out += path;
+    out += ' ';
     AppendScalar(value, out);
     out += " def\n";
   }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/rng.h"
+#include "common/strings.h"
 #include "configstore/file_config_store.h"
 #include "configstore/gconf_store.h"
 #include "configstore/intercepting_store.h"
@@ -43,6 +45,103 @@ TEST(RegistryStore, ListKeysByPrefix) {
   store.Write("HKEY_CURRENT_USER\\B\\z", Value(3));
   EXPECT_EQ(store.ListKeys("HKEY_CURRENT_USER\\A\\").size(), 2u);
   EXPECT_EQ(store.ListKeys("").size(), 3u);
+}
+
+// ----- Key validation against the segment-splitting rule ------------------------
+
+// The rules as first written: split the key into segments and reject any
+// empty one. Returns the StoreError text, or "" for a valid key.
+std::string SplitRuleRegistryError(const std::string& key) {
+  if (!StartsWith(key, "HKEY_CURRENT_USER\\") && !StartsWith(key, "HKEY_LOCAL_MACHINE\\")) {
+    return "registry key must start with a hive root: " + key;
+  }
+  for (const std::string& segment : Split(key, '\\')) {
+    if (segment.empty()) return "registry key has an empty path segment: " + key;
+  }
+  return "";
+}
+
+std::string SplitRuleGconfError(const std::string& key) {
+  if (key.empty() || key[0] != '/') return "gconf key must be an absolute path: " + key;
+  if (key.size() == 1 || key.back() == '/') return "gconf key must not end with '/': " + key;
+  for (const std::string& segment : Split(key.substr(1), '/')) {
+    if (segment.empty()) return "gconf key has an empty segment: " + key;
+  }
+  return "";
+}
+
+// The StoreError text a write of `key` raises, or "" when it is accepted.
+std::string WriteError(ConfigStore& store, const std::string& key) {
+  try {
+    store.Write(key, Value(1));
+    return "";
+  } catch (const StoreError& e) {
+    return e.what();
+  }
+}
+
+// Keys built from separators, hive roots and short names, so that empty
+// segments, doubled separators and trailing separators all come up.
+std::vector<std::string> GeneratedKeys(uint64_t seed) {
+  static const char* const kPieces[] = {"HKEY_CURRENT_USER", "HKEY_LOCAL_MACHINE", "\\", "/",
+                                        "Software", "a", " ", ".", "HKEY_CURRENT_USER\\"};
+  Rng rng(seed);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 2000; ++i) {
+    std::string key;
+    for (uint64_t n = rng.next_below(7); n > 0; --n) key += kPieces[rng.next_below(9)];
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
+TEST(KeyValidation, RegistryMatchesTheSplitRule) {
+  std::vector<std::string> keys = {"HKEY_CURRENT_USER\\",
+                                   "HKEY_LOCAL_MACHINE\\",
+                                   "HKEY_CURRENT_USER",
+                                   "HKEY_CURRENT_USER\\a",
+                                   "HKEY_CURRENT_USER\\a\\\\b",
+                                   "HKEY_CURRENT_USER\\\\a",
+                                   "HKEY_CURRENT_USER\\a\\",
+                                   "HKEY_LOCAL_MACHINE\\Software\\App\\Key",
+                                   "HKEY_CURRENT_USER\\a/b//c",
+                                   "HKEY_CURRENT_USER\\ \\x",
+                                   "hkey_current_user\\a",
+                                   "HKEY_USERS\\a",
+                                   "\\",
+                                   ""};
+  for (const std::string& key : GeneratedKeys(1)) {
+    keys.push_back(key);
+    keys.push_back("HKEY_CURRENT_USER\\Software\\" + key);
+  }
+  size_t accepted = 0;
+  for (const std::string& key : keys) {
+    RegistryStore store;
+    const std::string expected = SplitRuleRegistryError(key);
+    EXPECT_EQ(WriteError(store, key), expected) << key;
+    accepted += expected.empty();
+  }
+  EXPECT_GT(accepted, 100u);  // Both outcomes are well covered.
+  EXPECT_GT(keys.size() - accepted, 100u);
+}
+
+TEST(KeyValidation, GconfMatchesTheSplitRule) {
+  std::vector<std::string> keys = {"/",      "//",      "//a",  "/a//b", "/a/b/",  "/a/b//",
+                                   "///",    "/a",      "/a/b", "/a/ /b", "/a\\b", "a/b",
+                                   "a",      "",        "/apps/evolution/mail/mark_seen"};
+  for (const std::string& key : GeneratedKeys(2)) {
+    keys.push_back(key);
+    keys.push_back("/apps/" + key);
+  }
+  size_t accepted = 0;
+  for (const std::string& key : keys) {
+    GconfStore store;
+    const std::string expected = SplitRuleGconfError(key);
+    EXPECT_EQ(WriteError(store, key), expected) << key;
+    accepted += expected.empty();
+  }
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(keys.size() - accepted, 100u);
 }
 
 // ----- GConf ---------------------------------------------------------------------

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "apps/catalog.h"
 #include "common/error.h"
+#include "common/rng.h"
+#include "common/strings.h"
+#include "configstore/file_config_store.h"
 #include "parsers/codec.h"
 #include "parsers/config_map.h"
 #include "parsers/ini.h"
@@ -8,6 +12,9 @@
 #include "parsers/plaintext.h"
 #include "parsers/pskv.h"
 #include "parsers/xml.h"
+#include "pskv_reference.h"
+#include "workload/generator.h"
+#include "workload/profiles.h"
 
 namespace ocasta {
 namespace {
@@ -230,6 +237,165 @@ TEST(Pskv, StringEscapesRoundTrip) {
   const ConfigMap map{{"k", Value("parens () and \\ backslash")}};
   EXPECT_EQ(PskvCodec().Parse(PskvCodec().Serialize(map)), map);
 }
+
+// ----- PSKV against the reference parser -------------------------------------------
+
+// Parses `text` with PskvCodec and with the reference parser and fails
+// unless both return the same map or throw the same ParseError.
+void ExpectSameAsReference(const std::string& text) {
+  const auto codec = pskv_reference::Run([](const std::string& t) { return PskvCodec().Parse(t); },
+                                         text);
+  const auto reference = pskv_reference::Run(pskv_reference::Parse, text);
+  EXPECT_TRUE(pskv_reference::SameOutcome(codec, reference))
+      << "text: '" << text << "'\ncodec: " << (codec.ok ? "ok" : codec.error)
+      << "\nreference: " << (reference.ok ? "ok" : reference.error);
+}
+
+TEST(PskvDifferential, MalformedAndEdgeCases) {
+  for (const char* text :
+       {"/key (unterminated", "/key notanumber def", "/key 1 wrongword", "/key [1 2] def", "",
+        "% only a comment", "key 1 def", "/ 1 def", "/key", "/key ", "/key 1", "/key (x\\",
+        "/key [(a) (b)", "/key << /a 1", "/key << /a 1 >>", "/key << /a 1 >> def extra",
+        "/key < /a 1 > def", "/key <", "/key << >> def", "/key 1e999 def", "/key nan(e) def",
+        "/key 99999999999999999999 def", "/key -999999999999999999 def", "/key +5 def",
+        "/key 0x1p3 def", "/key 1. def", "/key .5e-3 def", "/key - def", "/key 1 def\n/k2",
+        "/key 1 def % tail\n/k2 (v) def\n\n/k3 true xdef"}) {
+    ExpectSameAsReference(text);
+  }
+  // Embedded NULs and non-ASCII bytes.
+  ExpectSameAsReference(std::string("/key 1\0 def", 11));
+  ExpectSameAsReference(std::string("/key 1 de\0f", 11));
+  ExpectSameAsReference("/key\xa0 1 def\xa0");
+  ExpectSameAsReference("/key (caf\xc3\xa9) def");
+}
+
+// Random documents: nested dicts, string escapes, arrays, comments, every
+// C-locale space character, flat slash paths and repeated keys.
+class RandomPskv {
+ public:
+  explicit RandomPskv(uint64_t seed) : rng_(seed) {}
+
+  std::string Document() {
+    std::string out;
+    const uint64_t pairs = rng_.next_below(10);
+    for (uint64_t i = 0; i < pairs; ++i) {
+      Space(out, 0);
+      Pair(out, /*depth=*/3);
+      Space(out, 1);
+      out += "def";
+    }
+    Space(out, 0);
+    return out;
+  }
+
+ private:
+  void Space(std::string& out, uint64_t min) {
+    static constexpr char kSpaces[] = " \t\n\v\f\r";
+    const uint64_t n = min + rng_.next_below(3);
+    for (uint64_t i = 0; i < n; ++i) out += kSpaces[rng_.next_below(6)];
+    if (n > 0 && rng_.next_bool(0.1)) out += "% a (comment) << /x 1 >> def\n";
+  }
+
+  void Pair(std::string& out, int depth) {
+    static constexpr char kNameChars[] = "abcXY09_.-/";
+    out += '/';
+    const uint64_t length = 1 + rng_.next_below(5);
+    for (uint64_t i = 0; i < length; ++i) out += kNameChars[rng_.next_below(11)];
+    Space(out, 0);
+    switch (rng_.next_below(depth > 0 ? 7 : 6)) {
+      case 0: out += rng_.next_bool(0.5) ? "true" : "false"; break;
+      case 1: out += std::to_string(rng_.next_range(-1'000'000, 1'000'000)); break;
+      case 2: out += StrFormat("%.17g", static_cast<double>(rng_.next_range(-999, 999)) / 7); break;
+      case 3: {
+        static const char* const kOddNumbers[] = {"1e5", "-.5", "3.", "0.0", "-0", "007",
+                                                  "1E-3", "123456789012345678901"};
+        out += kOddNumbers[rng_.next_below(8)];
+        break;
+      }
+      case 4: Literal(out); break;
+      case 5:
+        out += '[';
+        for (uint64_t i = rng_.next_below(4); i > 0; --i) {
+          Space(out, 0);
+          Literal(out);
+        }
+        Space(out, 0);
+        out += ']';
+        break;
+      case 6:
+        out += "<<";
+        for (uint64_t i = rng_.next_below(4); i > 0; --i) {
+          Space(out, 1);
+          Pair(out, depth - 1);
+        }
+        Space(out, 1);
+        out += ">>";
+        break;
+    }
+  }
+
+  void Literal(std::string& out) {
+    static constexpr char kChars[] = "ab (x) \\%/<>[]";
+    out += '(';
+    for (uint64_t i = rng_.next_below(8); i > 0; --i) {
+      const char c = kChars[rng_.next_below(sizeof(kChars) - 1)];
+      if (c == '(' || c == ')' || c == '\\') out += '\\';
+      out += c;
+    }
+    out += ')';
+  }
+
+  Rng rng_;
+};
+
+TEST(PskvDifferential, RandomDocumentsAndTheirCorruptions) {
+  static constexpr char kBytes[] = "()<>[]/\\% \n\0dx1.e";
+  for (uint64_t seed = 1; seed <= 400; ++seed) {
+    RandomPskv generator(seed);
+    const std::string text = generator.Document();
+    ExpectSameAsReference(text);
+    if (text.empty()) continue;
+    Rng rng(seed);
+    ExpectSameAsReference(text.substr(0, rng.next_below(text.size())));
+    std::string flipped = text;
+    flipped[rng.next_below(text.size())] = kBytes[rng.next_below(sizeof(kBytes) - 1)];
+    ExpectSameAsReference(flipped);
+  }
+}
+
+// Every text the Acrobat store of a Table I machine flushed, rebuilt by
+// replaying the machine's Acrobat events into a store that flushes once
+// per timestamp (a flush stamps every key it changed with one time).
+std::vector<std::string> AcrobatFlushTexts(const MachineTrace& machine) {
+  std::vector<std::string> texts;
+  FileConfigStore store(ConfigFormat::kPskv, /*auto_flush=*/false);
+  store.set_flush_observer(
+      [&](const std::string&, const std::string& after) { texts.push_back(after); });
+  store.RestoreSnapshot(machine.initial_configs.at(kAcrobat));
+  store.Flush();
+  const TraceLog acrobat = machine.trace.FilterByApp(kAcrobat);
+  const std::vector<AccessEvent>& events = acrobat.events();
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (events[i].op == AccessOp::kWrite) store.Write(events[i].key, events[i].value);
+    if (events[i].op == AccessOp::kDelete) store.Remove(events[i].key);
+    if (i + 1 == events.size() || events[i + 1].timestamp != events[i].timestamp) store.Flush();
+  }
+  return texts;
+}
+
+class PskvMachineFlushes : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PskvMachineFlushes, EveryFlushParsesAsTheReferenceDoes) {
+  const MachineTrace machine = GenerateMachineTrace(ProfileByName(GetParam()));
+  const std::vector<std::string> texts = AcrobatFlushTexts(machine);
+  ASSERT_GT(texts.size(), 100u);
+  EXPECT_EQ(PskvCodec().Parse(texts.back()), machine.final_configs.at(kAcrobat));
+  for (const std::string& text : texts) ExpectSameAsReference(text);
+}
+
+INSTANTIATE_TEST_SUITE_P(AcrobatMachines, PskvMachineFlushes,
+                         ::testing::Values("Linux-3", "Linux-4"),
+                         [](const auto& info) { return "Linux" + info.param.substr(6); });
 
 // ----- Codec registry -----------------------------------------------------------------
 

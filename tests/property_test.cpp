@@ -22,6 +22,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "parsers/codec.h"
+#include "logger/recorder.h"
 #include "logger/trace.h"
 #include "repair/sandbox.h"
 #include "ttkv/ttkv.h"
@@ -226,6 +227,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClusteringInvariantTest, ::testing::Range<uint64
 
 // ----- Online tracker equivalence ----------------------------------------------------
 
+// A cluster set as a partition of key names, for comparing clusterings
+// whose key ids differ.
+std::set<std::set<std::string>> Partition(const ClusterSet& clusters,
+                                          const std::function<std::string(uint32_t)>& name) {
+  std::set<std::set<std::string>> partition;
+  for (const KeyCluster& cluster : clusters.clusters()) {
+    std::set<std::string> names;
+    for (uint32_t key : cluster.keys) names.insert(name(key));
+    partition.insert(std::move(names));
+  }
+  return partition;
+}
+
 class OnlineEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OnlineEquivalenceTest, MatchesBatchPipeline) {
@@ -245,25 +259,46 @@ TEST_P(OnlineEquivalenceTest, MatchesBatchPipeline) {
   const ClusterSet batch = ClusterKeys(ttkv, ClusteringParams{});
   const ClusterSet online = tracker.ClusterNow(/*threshold_correlation=*/2.0);
 
-  // Compare partitions by key-name sets.
-  auto canonical = [](const ClusterSet& clusters,
-                      const std::function<std::string(uint32_t)>& name) {
-    std::set<std::set<std::string>> partition;
-    for (const KeyCluster& cluster : clusters.clusters()) {
-      std::set<std::string> names;
-      for (uint32_t key : cluster.keys) names.insert(name(key));
-      partition.insert(std::move(names));
-    }
-    return partition;
-  };
-  const auto batch_partition =
-      canonical(batch, [&](uint32_t id) { return ttkv.key_name(id); });
+  const auto batch_partition = Partition(batch, [&](uint32_t id) { return ttkv.key_name(id); });
   const auto online_partition =
-      canonical(online, [&](uint32_t id) { return tracker.key_names()[id]; });
+      Partition(online, [&](uint32_t id) { return tracker.key_names()[id]; });
   EXPECT_EQ(batch_partition, online_partition) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OnlineEquivalenceTest, ::testing::Range<uint64_t>(1, 13));
+
+TEST(OnlineTracker, EndlessBurstHoldsEachKeyOnce) {
+  // 100k writes 1 ms apart over 10 keys: no 1-second gap ever closes the
+  // burst. Then, after a 10 s gap, a second burst rewrites two of the keys.
+  OnlineClusterTracker tracker;
+  TTKV ttkv;
+  TtkvRecorder recorder(ttkv);
+  AccessEvent event;
+  event.app = "App";
+  event.op = AccessOp::kWrite;
+  const auto write = [&](const std::string& key, TimeMicros t) {
+    event.key = key;
+    event.timestamp = t;
+    tracker.OnAccess(event);
+    recorder.OnAccess(event);
+  };
+  for (int i = 0; i < 100'000; ++i) write("k" + std::to_string(i % 10), Seconds(1) + i * 1000);
+  EXPECT_EQ(tracker.group_count(), 0u);
+  EXPECT_EQ(tracker.open_group_size(), 10u);
+
+  const auto expect_batch_partition = [&] {
+    const ClusterSet online = tracker.ClusterNow(/*threshold_correlation=*/2.0);
+    const ClusterSet batch = ClusterKeys(ttkv, ClusteringParams{});
+    EXPECT_EQ(Partition(online, [&](uint32_t id) { return tracker.key_names()[id]; }),
+              Partition(batch, [&](uint32_t id) { return ttkv.key_name(id); }));
+  };
+  expect_batch_partition();
+
+  for (int i = 0; i < 1000; ++i) write(i % 2 ? "k1" : "k7", Seconds(120) + i * 1000);
+  EXPECT_EQ(tracker.group_count(), 1u);
+  EXPECT_EQ(tracker.open_group_size(), 2u);
+  expect_batch_partition();
+}
 
 TEST(OnlineTracker, RejectsOutOfOrderEvents) {
   OnlineClusterTracker tracker;

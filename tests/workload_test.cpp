@@ -4,6 +4,7 @@
 
 #include "apps/catalog.h"
 #include "common/error.h"
+#include "common/hash.h"
 #include "workload/generator.h"
 #include "workload/inject.h"
 #include "workload/profiles.h"
@@ -131,6 +132,22 @@ TEST(Generator, ReadCountsPopulated) {
   uint64_t total = 0;
   for (const auto& [key, count] : counts) total += count;
   EXPECT_GT(total, 0u);
+}
+
+TEST(Generator, RecordedTracesKeepTheirFingerprints) {
+  // FNV-1a of TraceLog::ToText() per machine, pinned so that a change to a
+  // logger, a store or the generator cannot alter the recorded traces
+  // unnoticed. Covers GConf (Linux-1), file-backed JSON (Linux-2) and PSKV
+  // (Linux-3, Linux-4) apps, and registry apps (Windows Vista).
+  const std::pair<const char*, uint64_t> kFingerprints[] = {
+      {"Linux-1", 0x15615ddbe316a908ULL},       {"Linux-2", 0x7dfb09ad273c9a31ULL},
+      {"Linux-3", 0xc263b8f5e1cb4d96ULL},       {"Linux-4", 0xfce365d288a93534ULL},
+      {"Windows Vista", 0xfdee3316b6642733ULL},
+  };
+  for (const auto& [name, fingerprint] : kFingerprints) {
+    const MachineTrace machine = GenerateMachineTrace(ProfileByName(name));
+    EXPECT_EQ(Fnv1a(machine.trace.ToText()), fingerprint) << name;
+  }
 }
 
 TEST(Generator, FileAppsLogThroughFlushDiff) {
