@@ -43,8 +43,10 @@ struct EngineStats {
   uint64_t write_lock_acquisitions = 0;  // Exclusive-mode grabs.
 };
 
-// ClusterNow output: clusters reference keys by name because the tracker's
-// dense ids are engine-internal.
+// ClusterNow output: clusters reference keys by name because the engine's
+// dense key ids are internal. version_count is the number of
+// co-modification groups touching any member; last_modified is the end of
+// the latest such group.
 struct NamedCluster {
   std::vector<std::string> keys;
   uint64_t version_count = 0;

@@ -36,17 +36,17 @@ void AnnotateClusters(const std::vector<CoModGroup>& groups,
   }
 }
 
-ClusterSet ClusterKeys(const TTKV& ttkv, const ClusteringParams& params) {
+ClusterSet ClusterKeys(const std::vector<WriteEvent>& events, size_t num_keys,
+                       const ClusteringParams& params) {
   if (params.threshold_correlation <= 0) {
     throw Error("threshold_correlation must be positive");
   }
-  const auto events = ttkv.write_events();
   const auto groups = GroupWrites(events, Seconds(params.window_seconds));
-  const auto corr = ComputeCorrelations(groups, ttkv.num_keys(), params.num_threads);
+  const auto corr = ComputeCorrelations(groups, num_keys, params.num_threads);
 
   // Points: keys modified at least once.
   std::vector<uint32_t> ids;
-  for (uint32_t id = 0; id < ttkv.num_keys(); ++id) {
+  for (uint32_t id = 0; id < num_keys; ++id) {
     if (corr.group_counts[id] > 0) ids.push_back(id);
   }
 
@@ -62,7 +62,7 @@ ClusterSet ClusterKeys(const TTKV& ttkv, const ClusteringParams& params) {
 
   // Annotate clusters with version counts (co-mod groups touching any
   // member) and last-modified times.
-  std::vector<uint32_t> cluster_index(ttkv.num_keys(), ClusterSet::kNoCluster);
+  std::vector<uint32_t> cluster_index(num_keys, ClusterSet::kNoCluster);
   std::vector<KeyCluster> clusters;
   clusters.reserve(raw_clusters.size());
   for (auto& keys : raw_clusters) {
@@ -73,7 +73,11 @@ ClusterSet ClusterKeys(const TTKV& ttkv, const ClusteringParams& params) {
   }
   AnnotateClusters(groups, cluster_index, clusters);
 
-  return ClusterSet(std::move(clusters), ttkv.num_keys());
+  return ClusterSet(std::move(clusters), num_keys);
+}
+
+ClusterSet ClusterKeys(const TTKV& ttkv, const ClusteringParams& params) {
+  return ClusterKeys(ttkv.write_events(), ttkv.num_keys(), params);
 }
 
 }  // namespace ocasta

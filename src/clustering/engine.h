@@ -38,10 +38,16 @@ void AnnotateClusters(const std::vector<CoModGroup>& groups,
                       const std::vector<uint32_t>& cluster_index,
                       std::vector<KeyCluster>& clusters);
 
-// Clusters every modified key in the TTKV. Unmodified keys (reads only) are
-// excluded entirely — they cannot cause a configuration error the user
+// Clusters every modified key of a write history: `events` sorted by
+// timestamp, key ids dense in [0, num_keys). Unmodified keys (reads only)
+// are excluded entirely — they cannot cause a configuration error the user
 // introduced. Each returned cluster carries its version count and last
-// modification time for recovery prioritisation.
+// modification time for recovery prioritisation. HAC breaks distance ties
+// by key id, so the id assignment is part of the input.
+ClusterSet ClusterKeys(const std::vector<WriteEvent>& events, size_t num_keys,
+                       const ClusteringParams& params);
+
+// ClusterKeys over a TTKV's stored history, in its key-id space.
 ClusterSet ClusterKeys(const TTKV& ttkv, const ClusteringParams& params);
 
 }  // namespace ocasta

@@ -1,8 +1,8 @@
 // Lockdep — a debug-build lock-order checker for the concurrency surface.
 //
 // The engine/WAL/event-loop stack has ordering invariants that used to live
-// only in comments ("writers never hold a shard mutex while taking
-// tracker_mu_", "append_mu_ before sync_mu_, never the reverse"). This
+// only in comments ("DurableEngine::mu_ before any shard lock",
+// "append_mu_ before sync_mu_, never the reverse"). This
 // layer makes them machine-checked: every mutex with ordering constraints
 // is an ordered_mutex / ordered_shared_mutex carrying a LockClass — a name
 // plus a RANK — and, when lockdep is compiled in, every acquisition is
@@ -24,7 +24,7 @@
 // merely hasn't scheduled yet, and aborting on the FIRST inconsistent
 // acquisition catches it on every run instead of the one run where two
 // threads interleave badly (this is how the deliberate-inversion test in
-// tests/lockdep_test.cpp can prove the tracker-vs-shard invariant without
+// tests/lockdep_test.cpp can prove the durable-vs-shard invariant without
 // actually deadlocking).
 //
 // The global rank table (see docs/TOOLING.md for the rationale of each
@@ -282,14 +282,10 @@ using condvar = std::condition_variable_any;
 //   checkpoint_mu_ < mu_          Checkpoint() stalls mutations for the cut
 //   mu_ < {engine locks}          DurableEngine applies while serialized
 //   mu_ < append_mu_ < sync_mu_   log-order == apply-order; group commit
-//   tracker_mu_ < Shard::mu       DrainTracker holds the tracker while it
-//                                 sweeps shards; writers must NEVER take
-//                                 tracker_mu_ under a shard lock
 //   join/pending/wake             leaves — nothing is acquired under them
 inline constexpr LockClass kDurableCheckpointClass{"DurableEngine::checkpoint_mu_", 10};
 inline constexpr LockClass kReplicaFollowerClass{"replica::Follower::mu_", 15};
 inline constexpr LockClass kDurableMutateClass{"DurableEngine::mu_", 20};
-inline constexpr LockClass kTrackerClass{"ShardedTtkv::tracker_mu_", 40};
 inline constexpr LockClass kShardClass{"ShardedTtkv::Shard::mu", 50};
 inline constexpr LockClass kWalAppendClass{"Wal::append_mu_", 60};
 inline constexpr LockClass kWalSyncClass{"Wal::sync_mu_", 70};

@@ -32,10 +32,9 @@
 // Engine op counters (STATS puts/gets/deletes) are presented as TOTALS
 // across restarts: each snapshot file carries the totals at its LSN cut
 // (DurableSnapshot below), recovery seeds baselines from them, and replay
-// re-derives the post-snapshot mutation counts. The cluster tracker is
-// rebuilt from the same history (ShardedTtkv::ImportSnapshot feeds it the
-// snapshot's writes, replay the rest), so CLUSTER_NOW answers as before
-// the restart. What durability does NOT cover: read counters bumped by
+// re-derives the post-snapshot mutation counts. CLUSTER_NOW is computed
+// from the stored history, which ImportSnapshot and replay restore, so it
+// answers as before the restart. What durability does NOT cover: read counters bumped by
 // standalone GETs after the last checkpoint (reads are never logged). A
 // command already applied in memory but not yet fsynced can be observed
 // by a concurrent read before its ack — readers see at worst a write that

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
 
+#include "clustering/engine.h"
 #include "common/error.h"
 #include "common/hash.h"
 #include "common/strings.h"
@@ -12,8 +14,12 @@ namespace ocasta {
 
 ShardedTtkv::ShardedTtkv(size_t num_shards, double cluster_window_seconds,
                          obs::MetricsRegistry* metrics)
-    : metrics_(metrics), tracker_(cluster_window_seconds, /*quantize_to_seconds=*/false) {
+    : cluster_window_seconds_(cluster_window_seconds), metrics_(metrics) {
   if (num_shards == 0) throw Error("ShardedTtkv needs at least one shard");
+  // Checked here so a bad window fails at startup, not at the first query.
+  if (Seconds(cluster_window_seconds) < 0) {
+    throw Error("co-modification window must be non-negative");
+  }
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) shards_.push_back(std::make_unique<Shard>());
   if (metrics_ != nullptr) {
@@ -53,10 +59,6 @@ void ShardedTtkv::FlushCounts(const OpCounts& counts) {
 }
 
 namespace {
-
-// Per-shard pending-event cap: beyond this the writing thread triggers a
-// global drain so an un-queried daemon's buffers stay bounded.
-constexpr size_t kPendingDrainThreshold = 8192;
 
 // Shard routing key + stamp need of a single-key command, resolved with a
 // single variant inspection; key == nullptr for cross-shard commands. The
@@ -129,42 +131,6 @@ VersionedRecord CopyRecordShared(const VersionedRecord& rec) {
 
 }  // namespace
 
-void ShardedTtkv::DrainTracker() const {
-  const lockdep::guard tracker_lock(tracker_mu_);
-  std::vector<PendingEvent> events;
-  for (const auto& shard : shards_) {
-    const lockdep::writer_guard lock(WriteLock(*shard));
-    if (events.empty()) {
-      events = std::move(shard->pending);
-    } else {
-      events.insert(events.end(), std::make_move_iterator(shard->pending.begin()),
-                    std::make_move_iterator(shard->pending.end()));
-    }
-    shard->pending.clear();
-  }
-  // Deterministic global order: by timestamp, keys break ties.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const PendingEvent& a, const PendingEvent& b) {
-                     return a.timestamp != b.timestamp ? a.timestamp < b.timestamp
-                                                       : a.key < b.key;
-                   });
-  for (PendingEvent& event : events) {
-    FeedTrackerLocked(event.timestamp, event.is_delete, std::move(event.key));
-  }
-}
-
-void ShardedTtkv::FeedTrackerLocked(TimeMicros t, bool is_delete, std::string key) const {
-  // Clamp across drains: a write stamped before an earlier drain's newest
-  // event must not move the tracker backwards.
-  tracker_last_ = std::max(t, tracker_last_);
-  tracker_.OnAccess(AccessEvent{.timestamp = tracker_last_,
-                                .app = "ocastad",
-                                .store = StoreKind::kGconf,
-                                .op = is_delete ? AccessOp::kDelete : AccessOp::kWrite,
-                                .key = std::move(key),
-                                .value = Value()});
-}
-
 std::vector<std::string> ShardedTtkv::ListKeys(const std::string& prefix) const {
   std::vector<std::string> keys;
   for (const auto& shard : shards_) {
@@ -231,15 +197,6 @@ void ShardedTtkv::ImportSnapshot(const TTKV& snapshot) {
     const lockdep::writer_guard lock(WriteLock(shard));
     for (uint32_t id : by_shard[s]) shard.ttkv.ImportRecord(snapshot.record(id));
   }
-  {
-    // The restored history predates every write this engine will take, so
-    // it goes straight to the tracker, in time order, ahead of any pending
-    // shard events.
-    const lockdep::guard lock(tracker_mu_);
-    for (const WriteEvent& event : snapshot.write_events()) {
-      FeedTrackerLocked(event.timestamp, event.is_delete, snapshot.key_name(event.key_id));
-    }
-  }
   clock_.AdvanceTo(newest);
 }
 
@@ -254,9 +211,37 @@ size_t ShardedTtkv::CompactBefore(TimeMicros horizon) {
 
 std::vector<NamedCluster> ShardedTtkv::ClusterNow(double threshold_correlation,
                                                   Linkage linkage) const {
-  DrainTracker();
-  const lockdep::guard lock(tracker_mu_);
-  const ClusterSet set = tracker_.ClusterNow(threshold_correlation, linkage);
+  // Gather every shard's history into one key-id space (shard-major).
+  // write_events() and key_names() only read, so shared locks suffice.
+  std::vector<std::string> names;
+  std::vector<WriteEvent> events;
+  for (const auto& shard : shards_) {
+    const lockdep::reader_guard lock(ReadLock(*shard));
+    const auto base = static_cast<uint32_t>(names.size());
+    const std::vector<std::string>& shard_names = shard->ttkv.key_names();
+    names.insert(names.end(), shard_names.begin(), shard_names.end());
+    for (WriteEvent event : shard->ttkv.write_events()) {
+      event.key_id += base;
+      events.push_back(event);
+    }
+  }
+  // Renumber keys in name order: HAC breaks distance ties by key id, and
+  // name order is the one id space every shard count shares.
+  std::vector<uint32_t> by_name(names.size());
+  std::iota(by_name.begin(), by_name.end(), 0u);
+  std::sort(by_name.begin(), by_name.end(),
+            [&](uint32_t a, uint32_t b) { return names[a] < names[b]; });
+  std::vector<uint32_t> id_of(names.size());
+  for (uint32_t id = 0; id < by_name.size(); ++id) id_of[by_name[id]] = id;
+  for (WriteEvent& event : events) event.key_id = id_of[event.key_id];
+  std::sort(events.begin(), events.end(), [](const WriteEvent& a, const WriteEvent& b) {
+    return a.timestamp != b.timestamp ? a.timestamp < b.timestamp : a.key_id < b.key_id;
+  });
+
+  const ClusteringParams params{.window_seconds = cluster_window_seconds_,
+                                .threshold_correlation = threshold_correlation,
+                                .linkage = linkage};
+  const ClusterSet set = ClusterKeys(events, names.size(), params);
   std::vector<NamedCluster> out;
   out.reserve(set.size());
   for (const KeyCluster& cluster : set.clusters()) {
@@ -264,7 +249,7 @@ std::vector<NamedCluster> ShardedTtkv::ClusterNow(double threshold_correlation,
     named.version_count = cluster.version_count;
     named.last_modified = cluster.last_modified;
     named.keys.reserve(cluster.keys.size());
-    for (uint32_t id : cluster.keys) named.keys.push_back(tracker_.key_names()[id]);
+    for (uint32_t id : cluster.keys) named.keys.push_back(names[by_name[id]]);
     out.push_back(std::move(named));
   }
   return out;
@@ -273,37 +258,30 @@ std::vector<NamedCluster> ShardedTtkv::ClusterNow(double threshold_correlation,
 // --- api::Engine ------------------------------------------------------------
 
 api::Result ShardedTtkv::ApplyWriteLocked(Shard& shard, const api::Command& cmd,
-                                          TimeMicros stamp, bool* need_drain,
-                                          OpCounts* counts) {
+                                          TimeMicros stamp, OpCounts* counts) {
   try {
     // The clamped record calls resolve the key's record once; timestamps
     // older than the key's newest version are clamped up (concurrent
     // writers race between stamping and locking, and TTKV only needs
     // per-key order).
-    PendingEvent event;
-    api::Result result;
     if (const auto* put = std::get_if<api::PutCmd>(&cmd.op)) {
       if (put->key.empty()) throw StoreError("empty key");
-      const TimeMicros t = put->timestamp != 0 ? put->timestamp : stamp;
-      event = {shard.ttkv.record_write_clamped(put->key, put->value, t), false, put->key};
+      shard.ttkv.record_write_clamped(put->key, put->value,
+                                      put->timestamp != 0 ? put->timestamp : stamp);
       ++counts->puts;
-      result = api::OkResult{};
-    } else if (const auto* del = std::get_if<api::DeleteCmd>(&cmd.op)) {
+      return api::OkResult{};
+    }
+    if (const auto* del = std::get_if<api::DeleteCmd>(&cmd.op)) {
       if (del->key.empty()) throw StoreError("empty key");
       const VersionedRecord* rec = shard.ttkv.find(del->key);
       const bool existed = rec != nullptr && rec->latest().has_value();
       // Blind deletes record nothing unless forced (see api::DeleteCmd).
       if (!existed && !del->force) return api::ExistedResult{false};
-      const TimeMicros t = del->timestamp != 0 ? del->timestamp : stamp;
-      event = {shard.ttkv.record_delete_clamped(del->key, t), true, del->key};
+      shard.ttkv.record_delete_clamped(del->key, del->timestamp != 0 ? del->timestamp : stamp);
       ++counts->deletes;
-      result = api::ExistedResult{existed};
-    } else {
-      throw Error("ApplyWriteLocked on a non-mutating command");
+      return api::ExistedResult{existed};
     }
-    shard.pending.push_back(std::move(event));
-    *need_drain |= shard.pending.size() >= kPendingDrainThreshold;
-    return result;
+    throw Error("ApplyWriteLocked on a non-mutating command");
   } catch (const Error& e) {
     return api::ErrorResult{e.what()};
   }
@@ -338,7 +316,6 @@ api::Result ShardedTtkv::Apply(const api::Command& cmd) {
   const KeyInfo info = KeyInfoOf(cmd);
   if (info.key != nullptr) {
     Shard& shard = *shards_[shard_of(*info.key)];
-    bool need_drain = false;
     OpCounts counts;
     api::Result result;
     {
@@ -351,11 +328,10 @@ api::Result ShardedTtkv::Apply(const api::Command& cmd) {
       } else {
         const lockdep::writer_guard lock(WriteLock(shard));
         const TimeMicros stamp = info.needs_stamp ? clock_.Next() : 0;
-        result = ApplyWriteLocked(shard, cmd, stamp, &need_drain, &counts);
+        result = ApplyWriteLocked(shard, cmd, stamp, &counts);
       }
     }
     FlushCounts(counts);
-    if (need_drain) DrainTracker();
     return result;
   }
 
@@ -401,8 +377,7 @@ api::Result ShardedTtkv::Apply(const api::Command& cmd) {
 
 void ShardedTtkv::ApplyGroupExclusive(Shard& shard, std::span<const RunEntry> entries,
                                       std::span<const api::Command> cmds,
-                                      std::vector<api::Result>* results, bool* need_drain,
-                                      OpCounts* counts) {
+                                      std::vector<api::Result>* results, OpCounts* counts) {
   for (const RunEntry& entry : entries) {
     const api::Command& sub = cmds[entry.index];
     // Per-op time inside the group: the grouped lock is already held, so
@@ -413,7 +388,7 @@ void ShardedTtkv::ApplyGroupExclusive(Shard& shard, std::span<const RunEntry> en
     // mixed group dispatches per entry.
     (*results)[entry.index] =
         entry.is_read ? ApplyReadLocked(shard, sub, counts)
-                      : ApplyWriteLocked(shard, sub, entry.stamp, need_drain, counts);
+                      : ApplyWriteLocked(shard, sub, entry.stamp, counts);
   }
 }
 
@@ -439,7 +414,6 @@ std::vector<api::Result> ShardedTtkv::ApplyBatch(std::span<const api::Command> c
   // counters flush once per run.
   std::vector<RunEntry> run;
   size_t stamps_needed = 0;
-  bool need_drain = false;
 
   const auto flush_run = [&] {
     if (run.empty()) return;
@@ -473,7 +447,7 @@ std::vector<api::Result> ShardedTtkv::ApplyBatch(std::span<const api::Command> c
         ApplyGroupShared(shard, group, cmds, &results, &counts);
       } else {
         const lockdep::writer_guard lock(WriteLock(shard));
-        ApplyGroupExclusive(shard, group, cmds, &results, &need_drain, &counts);
+        ApplyGroupExclusive(shard, group, cmds, &results, &counts);
       }
       j = end;
     }
@@ -499,8 +473,6 @@ std::vector<api::Result> ShardedTtkv::ApplyBatch(std::span<const api::Command> c
     results[i] = Apply(cmds[i]);
   }
   flush_run();
-
-  if (need_drain) DrainTracker();
   return results;
 }
 

@@ -12,9 +12,7 @@
 // increments (TTKV::read_latest_shared); everything that reads those
 // counters non-atomically (STATS, SNAPSHOT, serialization) takes the
 // exclusive lock. EngineStats reports read and write lock acquisitions
-// separately. A separate mutex-striped OnlineClusterTracker observes every
-// write/delete so the daemon can answer CLUSTER_NOW queries without
-// replaying history.
+// separately.
 //
 // ShardedTtkv implements api::Engine natively. Single-key commands lock
 // their shard once; ApplyBatch is the batched fast path: consecutive
@@ -34,10 +32,10 @@
 // non-decreasing (equal timestamps are legal in TTKV — the paper's traces
 // are second-quantized anyway).
 //
-// Clustering: writes append a small pending event to their own shard (no
-// cross-shard lock on the write path); the shared tracker is fed lazily —
-// on CLUSTER_NOW, or when a shard's buffer fills — by merging all pending
-// events in timestamp order under the tracker lock.
+// Clustering: the write path does no clustering work. CLUSTER_NOW runs the
+// offline pipeline (clustering/engine.h) over the stored history of every
+// shard, so its cost is proportional to that history and versions dropped
+// by COMPACT do not count.
 #pragma once
 
 #include <array>
@@ -52,7 +50,7 @@
 
 #include "api/engine.h"
 #include "api/types.h"
-#include "clustering/online.h"
+#include "clustering/hac.h"
 #include "common/lockdep.h"
 #include "common/time.h"
 #include "obs/metrics.h"
@@ -63,6 +61,8 @@ namespace ocasta {
 
 class ShardedTtkv final : public api::Engine {
  public:
+  // `cluster_window_seconds` is CLUSTER_NOW's co-modification window
+  // (ClusteringParams::window_seconds); a negative one throws Error.
   // `metrics` (optional, must outlive the engine) turns on per-op apply
   // latency histograms and batch-size histograms, and moves the op
   // counters into the registry (docs/OBSERVABILITY.md). Null = off: the
@@ -106,8 +106,7 @@ class ShardedTtkv final : public api::Engine {
 
   // Splits a merged snapshot back into shards — the inverse of Snapshot(),
   // used by crash recovery (persist/durable_engine.h), follower bootstrap
-  // and shard-count migration. Every record lands in its key's shard, the
-  // restored write history feeds the cluster tracker in time order (so
+  // and shard-count migration. Every record lands in its key's shard (so
   // CLUSTER_NOW answers as it did before the restart), and the stamp
   // clock advances past the newest restored timestamp so fresh
   // engine-assigned stamps never collide with restored history. The keys
@@ -115,26 +114,19 @@ class ShardedTtkv final : public api::Engine {
   // into a fresh instance.
   void ImportSnapshot(const TTKV& snapshot);
 
-  // Clusters all keys observed so far (see OnlineClusterTracker).
+  // Runs ClusterKeys over the write history of every shard, with key ids
+  // assigned in name order as Snapshot() does, so the answer does not
+  // depend on the shard count. Each cluster's version_count is the number
+  // of co-modification groups touching any member and its last_modified
+  // the end of the latest such group. Shards are read one at a time under
+  // shared locks, like Snapshot(); values are never copied.
   std::vector<NamedCluster> ClusterNow(double threshold_correlation,
                                        Linkage linkage = Linkage::kComplete) const;
 
  private:
-  // A write/delete awaiting the shared cluster tracker (values are not
-  // needed for co-modification analysis).
-  struct PendingEvent {
-    TimeMicros timestamp = 0;
-    bool is_delete = false;
-    std::string key;
-  };
-
   struct Shard {
-    // Lock order (enforced by lockdep): tracker_mu_ may be held while
-    // taking a shard mutex (DrainTracker's sweep); the reverse — taking
-    // tracker_mu_ under a shard mutex — is a rank violation.
     mutable lockdep::ordered_shared_mutex mu{lockdep::kShardClass};
     TTKV ttkv OCASTA_GUARDED_BY(mu);
-    mutable std::vector<PendingEvent> pending OCASTA_GUARDED_BY(mu);
   };
 
   // Count a shard-lock acquisition and hand back the shard's mutex for a
@@ -160,12 +152,10 @@ class ShardedTtkv final : public api::Engine {
 
   // Applies one mutating single-key command (Put/Delete) to its shard with
   // the shard mutex held exclusively; never throws. `stamp` is the
-  // pre-reserved engine stamp used when the command's timestamp is 0.
-  // `need_drain` is OR-ed when the shard's pending buffer crossed the
-  // drain threshold (the caller drains after releasing the lock), and op
+  // pre-reserved engine stamp used when the command's timestamp is 0. Op
   // counts accumulate into `counts` (the caller flushes).
   api::Result ApplyWriteLocked(Shard& shard, const api::Command& cmd, TimeMicros stamp,
-                               bool* need_drain, OpCounts* counts) OCASTA_REQUIRES(shard.mu);
+                               OpCounts* counts) OCASTA_REQUIRES(shard.mu);
 
   // Applies one read command (Get/GetAt/History) with the shard mutex held
   // at least shared (an exclusive hold satisfies it too — mixed batch
@@ -191,27 +181,15 @@ class ShardedTtkv final : public api::Engine {
   // reads-only by construction.
   void ApplyGroupExclusive(Shard& shard, std::span<const RunEntry> entries,
                            std::span<const api::Command> cmds,
-                           std::vector<api::Result>* results, bool* need_drain,
-                           OpCounts* counts) OCASTA_REQUIRES(shard.mu);
+                           std::vector<api::Result>* results, OpCounts* counts)
+      OCASTA_REQUIRES(shard.mu);
   void ApplyGroupShared(Shard& shard, std::span<const RunEntry> entries,
                         std::span<const api::Command> cmds,
                         std::vector<api::Result>* results, OpCounts* counts)
       OCASTA_REQUIRES_SHARED(shard.mu);
 
-  // Moves every shard's pending events into the tracker, merged in
-  // timestamp order. Takes tracker_mu_ then each shard mutex in turn;
-  // writers never hold a shard mutex while taking tracker_mu_. This
-  // ordering is machine-checked: lockdep ranks kTrackerClass below
-  // kShardClass, so the inverted acquisition aborts in debug builds
-  // (tests/lockdep_test.cpp proves it does).
-  void DrainTracker() const OCASTA_EXCLUDES(tracker_mu_);
-
-  // Feeds one write/delete to the tracker, clamped so it never moves the
-  // tracker backwards.
-  void FeedTrackerLocked(TimeMicros t, bool is_delete, std::string key) const
-      OCASTA_REQUIRES(tracker_mu_);
-
   std::vector<std::unique_ptr<Shard>> shards_;
+  double cluster_window_seconds_;
   StampClock clock_;
   mutable std::atomic<uint64_t> read_lock_acquisitions_{0};
   mutable std::atomic<uint64_t> write_lock_acquisitions_{0};
@@ -231,10 +209,6 @@ class ShardedTtkv final : public api::Engine {
   obs::MetricsRegistry* metrics_ = nullptr;
   std::array<obs::LatencyHistogram*, std::variant_size_v<api::CommandOp>> op_hist_{};
   obs::LatencyHistogram* batch_hist_ = nullptr;
-
-  mutable lockdep::ordered_mutex tracker_mu_{lockdep::kTrackerClass};
-  mutable OnlineClusterTracker tracker_ OCASTA_GUARDED_BY(tracker_mu_);
-  mutable TimeMicros tracker_last_ OCASTA_GUARDED_BY(tracker_mu_) = 0;
 };
 
 }  // namespace ocasta

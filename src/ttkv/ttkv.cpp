@@ -68,14 +68,13 @@ void TTKV::record_delete(const std::string& key, TimeMicros t) {
 #pragma GCC diagnostic pop
 #endif
 
-TimeMicros TTKV::record_write_clamped(const std::string& key, Value value, TimeMicros t) {
+void TTKV::record_write_clamped(const std::string& key, Value value, TimeMicros t) {
   VersionedRecord& rec = mutable_record(key);
   if (!rec.versions.empty() && rec.versions.back().timestamp > t) {
     t = rec.versions.back().timestamp;
   }
   rec.versions.push_back(Version{.timestamp = t, .value = std::move(value), .is_delete = false});
   ++rec.write_count;
-  return t;
 }
 
 // See record_delete for the GCC 12 -Wmaybe-uninitialized note.
@@ -83,14 +82,13 @@ TimeMicros TTKV::record_write_clamped(const std::string& key, Value value, TimeM
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
-TimeMicros TTKV::record_delete_clamped(const std::string& key, TimeMicros t) {
+void TTKV::record_delete_clamped(const std::string& key, TimeMicros t) {
   VersionedRecord& rec = mutable_record(key);
   if (!rec.versions.empty() && rec.versions.back().timestamp > t) {
     t = rec.versions.back().timestamp;
   }
   rec.versions.push_back(Version{.timestamp = t, .value = Value(), .is_delete = true});
   ++rec.delete_count;
-  return t;
 }
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop

@@ -87,9 +87,8 @@ class TTKV {
   // the key's newest version (per-key monotonicity; concurrent writers race
   // between stamping and locking) and record, resolving the key's record
   // exactly ONCE instead of the contains + clamp + record triple lookup.
-  // Return the timestamp actually applied.
-  TimeMicros record_write_clamped(const std::string& key, Value value, TimeMicros t);
-  TimeMicros record_delete_clamped(const std::string& key, TimeMicros t);
+  void record_write_clamped(const std::string& key, Value value, TimeMicros t);
+  void record_delete_clamped(const std::string& key, TimeMicros t);
 
   // Counts a read and returns the latest live value in one lookup; absent
   // keys return nullopt without creating a record.

@@ -1,5 +1,5 @@
 // Lockdep runtime tests: prove the checker actually catches the historic
-// ordering hazards (tracker-vs-shard, append-vs-sync), accepts every legal
+// ordering hazards (durable-vs-shard, append-vs-sync), accepts every legal
 // chain, and reports violations with both lock sites. The violation tests
 // are death tests — lockdep aborts on the first inconsistent acquisition,
 // which is exactly the property that lets a single-threaded test prove a
@@ -29,21 +29,21 @@ using lockdep::ordered_shared_mutex;
   }                                                                         \
   ::testing::FLAGS_gtest_death_test_style = "threadsafe"
 
-// The invariant this whole layer exists for: DrainTracker holds
-// tracker_mu_ while sweeping shards, so a writer taking tracker_mu_ while
+// The invariant this whole layer exists for: DurableEngine holds its mu_
+// while the inner engine takes shard locks, so anything taking mu_ while
 // holding a shard lock is a deadlock waiting for the right interleaving.
 // Lockdep must refuse the bad order on the spot, naming BOTH locks and
 // printing both acquisition sites.
-TEST(LockdepDeath, TrackerAcquiredUnderShardLockAborts) {
+TEST(LockdepDeath, DurableMutexAcquiredUnderShardLockAborts) {
   SKIP_WITHOUT_LOCKDEP();
   EXPECT_DEATH(
       {
         ordered_shared_mutex shard_mu{lockdep::kShardClass};
-        ordered_mutex tracker_mu{lockdep::kTrackerClass};
+        ordered_mutex mutate_mu{lockdep::kDurableMutateClass};
         std::shared_lock<ordered_shared_mutex> shard(shard_mu);
-        std::lock_guard<ordered_mutex> tracker(tracker_mu);  // Forbidden order.
+        std::lock_guard<ordered_mutex> mutate(mutate_mu);  // Forbidden order.
       },
-      "lockdep: RANK VIOLATION: acquiring \"ShardedTtkv::tracker_mu_\" \\(rank 40\\) "
+      "lockdep: RANK VIOLATION: acquiring \"DurableEngine::mu_\" \\(rank 20\\) "
       "while holding \"ShardedTtkv::Shard::mu\" \\(rank 50\\)");
 }
 
@@ -65,7 +65,7 @@ TEST(LockdepDeath, ViolationReportNamesBothLockSites) {
 // -Wthread-safety correctly flags it at compile time, but this test needs
 // it to REACH the runtime checker and prove lockdep aborts too.
 void AcquireTwice() OCASTA_NO_THREAD_SAFETY_ANALYSIS {
-  ordered_mutex mu{lockdep::kTrackerClass};
+  ordered_mutex mu{lockdep::kDurableMutateClass};
   mu.lock();
   mu.lock();  // Self-deadlock; lockdep must fire before the hang.
 }
@@ -77,7 +77,7 @@ TEST(LockdepDeath, RecursiveAcquisitionAborts) {
 
 // Deliberate unmatched unlock, exempted for the same reason as above.
 void ReleaseUnheld() OCASTA_NO_THREAD_SAFETY_ANALYSIS {
-  ordered_mutex mu{lockdep::kTrackerClass};
+  ordered_mutex mu{lockdep::kDurableMutateClass};
   mu.unlock();  // OnRelease aborts before the underlying unlock.
 }
 
@@ -113,37 +113,35 @@ TEST(Lockdep, FullLegalChainIsSilent) {
   SKIP_WITHOUT_LOCKDEP();
   ordered_mutex checkpoint_mu{lockdep::kDurableCheckpointClass};
   ordered_mutex mutate_mu{lockdep::kDurableMutateClass};
-  ordered_mutex tracker_mu{lockdep::kTrackerClass};
   ordered_shared_mutex shard_mu{lockdep::kShardClass};
   ordered_mutex append_mu{lockdep::kWalAppendClass};
   ordered_mutex sync_mu{lockdep::kWalSyncClass};
 
   std::lock_guard<ordered_mutex> l1(checkpoint_mu);
   std::lock_guard<ordered_mutex> l2(mutate_mu);
-  std::lock_guard<ordered_mutex> l3(tracker_mu);
-  std::unique_lock<ordered_shared_mutex> l4(shard_mu);
-  std::lock_guard<ordered_mutex> l5(append_mu);
-  std::lock_guard<ordered_mutex> l6(sync_mu);
+  std::unique_lock<ordered_shared_mutex> l3(shard_mu);
+  std::lock_guard<ordered_mutex> l4(append_mu);
+  std::lock_guard<ordered_mutex> l5(sync_mu);
   SUCCEED();
 }
 
 // Dropping a lock mid-chain resets the frontier: shard then (released)
-// then tracker-then-shard again is legal, and LIFO is not required.
+// then durable-then-shard again is legal, and LIFO is not required.
 TEST(Lockdep, ReleaseResetsOrderingFrontier) {
   SKIP_WITHOUT_LOCKDEP();
-  ordered_mutex tracker_mu{lockdep::kTrackerClass};
+  ordered_mutex mutate_mu{lockdep::kDurableMutateClass};
   ordered_shared_mutex shard_mu{lockdep::kShardClass};
   {
     std::unique_lock<ordered_shared_mutex> shard(shard_mu);
   }
-  std::lock_guard<ordered_mutex> tracker(tracker_mu);
+  std::lock_guard<ordered_mutex> mutate(mutate_mu);
   std::unique_lock<ordered_shared_mutex> shard(shard_mu);
   SUCCEED();
 }
 
 // End-to-end: the real engine paths that motivated the ranks — sharded
-// writes (shard locks), reads (shared locks), ClusterNow (tracker sweep
-// over every shard) — run clean under the checker.
+// writes (shard locks), reads (shared locks), ClusterNow (a shared-lock
+// sweep over every shard) — run clean under the checker.
 TEST(Lockdep, ShardedEngineOperationsAreClean) {
   SKIP_WITHOUT_LOCKDEP();
   ShardedTtkv engine(/*num_shards=*/4);

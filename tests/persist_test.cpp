@@ -588,8 +588,8 @@ TEST(DurableEngineTest, ShardedImportSnapshotMatchesLocalRecovery) {
 }
 
 // CLUSTER_NOW after a restart sees the whole history: the part inside the
-// snapshot (ImportSnapshot feeds it to the tracker) as well as the
-// replayed log tail. Here the {a, b} co-modifications all sit inside the
+// snapshot (restored by ImportSnapshot) as well as the replayed log
+// tail. Here the {a, b} co-modifications all sit inside the
 // snapshot and {c, d}'s in the tail.
 TEST(DurableEngineTest, ClusterNowSurvivesCheckpointAndRestart) {
   TempDir dir;

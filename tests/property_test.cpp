@@ -11,20 +11,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
+#include <tuple>
 
 #include "clustering/engine.h"
 #include "clustering/hac.h"
-#include "clustering/online.h"
+#include "api/engine.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "parsers/codec.h"
-#include "logger/recorder.h"
 #include "logger/trace.h"
 #include "repair/sandbox.h"
+#include "server/sharded_ttkv.h"
 #include "ttkv/ttkv.h"
 
 namespace ocasta {
@@ -225,116 +226,65 @@ TEST_P(ClusteringInvariantTest, WindowMonotoneGroupCounts) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusteringInvariantTest, ::testing::Range<uint64_t>(1, 9));
 
-// ----- Online tracker equivalence ----------------------------------------------------
+// ----- CLUSTER_NOW equivalence ------------------------------------------------------
 
-// A cluster set as a partition of key names, for comparing clusterings
-// whose key ids differ.
-std::set<std::set<std::string>> Partition(const ClusterSet& clusters,
-                                          const std::function<std::string(uint32_t)>& name) {
-  std::set<std::set<std::string>> partition;
-  for (const KeyCluster& cluster : clusters.clusters()) {
-    std::set<std::string> names;
-    for (uint32_t key : cluster.keys) names.insert(name(key));
-    partition.insert(std::move(names));
+// A cluster as CLUSTER_NOW reports it: member names, version count, last
+// modification.
+using ClusterView = std::tuple<std::vector<std::string>, uint64_t, TimeMicros>;
+
+std::vector<ClusterView> Views(const std::vector<NamedCluster>& clusters) {
+  std::vector<ClusterView> views;
+  for (const NamedCluster& c : clusters) {
+    views.emplace_back(c.keys, c.version_count, c.last_modified);
   }
-  return partition;
+  return views;
 }
 
 class OnlineEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OnlineEquivalenceTest, MatchesBatchPipeline) {
-  // Feed the same random history through (a) the TTKV + batch clustering
-  // pipeline and (b) the incremental tracker; the partitions must agree.
-  const TTKV ttkv = RandomHistory(GetParam());
-  OnlineClusterTracker tracker(/*window_seconds=*/1.0);
-  for (const WriteEvent& event : ttkv.write_events()) {
-    AccessEvent access;
-    access.timestamp = event.timestamp;
-    access.app = "App";
-    access.key = ttkv.key_name(event.key_id);
-    access.op = event.is_delete ? AccessOp::kDelete : AccessOp::kWrite;
-    tracker.OnAccess(access);
+  // Replay a random history through PUT/DELETE into engines of several
+  // shard counts; CLUSTER_NOW must give ClusterKeys' clusters on the same
+  // history, annotations included.
+  const TTKV history = RandomHistory(GetParam());
+  // HAC breaks distance ties by key id and the engine numbers keys in name
+  // order, so the batch side gets the same numbering.
+  std::vector<uint32_t> by_name(history.num_keys());
+  std::iota(by_name.begin(), by_name.end(), 0u);
+  std::sort(by_name.begin(), by_name.end(),
+            [&](uint32_t a, uint32_t b) { return history.key_name(a) < history.key_name(b); });
+  TTKV batch_ttkv;
+  for (uint32_t id : by_name) batch_ttkv.ImportRecord(history.record(id));
+
+  for (const size_t shards : {1, 4, 16}) {
+    ShardedTtkv engine(shards);
+    for (uint32_t id = 0; id < history.num_keys(); ++id) {
+      const std::string& key = history.key_name(id);
+      for (const Version& v : history.record(id).versions) {
+        if (v.is_delete) {
+          api::Delete(engine, key, v.timestamp, /*force=*/true);
+        } else {
+          api::Put(engine, key, v.value, v.timestamp);
+        }
+      }
+    }
+    for (const double threshold : {2.0, 1.0}) {
+      ClusteringParams params;
+      params.threshold_correlation = threshold;
+      const ClusterSet set = ClusterKeys(batch_ttkv, params);
+      std::vector<NamedCluster> batch;
+      for (const KeyCluster& cluster : set.clusters()) {
+        NamedCluster named{{}, cluster.version_count, cluster.last_modified};
+        for (uint32_t key : cluster.keys) named.keys.push_back(batch_ttkv.key_name(key));
+        batch.push_back(std::move(named));
+      }
+      EXPECT_EQ(Views(engine.ClusterNow(threshold)), Views(batch))
+          << "seed " << GetParam() << ", " << shards << " shards, threshold " << threshold;
+    }
   }
-
-  const ClusterSet batch = ClusterKeys(ttkv, ClusteringParams{});
-  const ClusterSet online = tracker.ClusterNow(/*threshold_correlation=*/2.0);
-
-  const auto batch_partition = Partition(batch, [&](uint32_t id) { return ttkv.key_name(id); });
-  const auto online_partition =
-      Partition(online, [&](uint32_t id) { return tracker.key_names()[id]; });
-  EXPECT_EQ(batch_partition, online_partition) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OnlineEquivalenceTest, ::testing::Range<uint64_t>(1, 13));
-
-TEST(OnlineTracker, EndlessBurstHoldsEachKeyOnce) {
-  // 100k writes 1 ms apart over 10 keys: no 1-second gap ever closes the
-  // burst. Then, after a 10 s gap, a second burst rewrites two of the keys.
-  OnlineClusterTracker tracker;
-  TTKV ttkv;
-  TtkvRecorder recorder(ttkv);
-  AccessEvent event;
-  event.app = "App";
-  event.op = AccessOp::kWrite;
-  const auto write = [&](const std::string& key, TimeMicros t) {
-    event.key = key;
-    event.timestamp = t;
-    tracker.OnAccess(event);
-    recorder.OnAccess(event);
-  };
-  for (int i = 0; i < 100'000; ++i) write("k" + std::to_string(i % 10), Seconds(1) + i * 1000);
-  EXPECT_EQ(tracker.group_count(), 0u);
-  EXPECT_EQ(tracker.open_group_size(), 10u);
-
-  const auto expect_batch_partition = [&] {
-    const ClusterSet online = tracker.ClusterNow(/*threshold_correlation=*/2.0);
-    const ClusterSet batch = ClusterKeys(ttkv, ClusteringParams{});
-    EXPECT_EQ(Partition(online, [&](uint32_t id) { return tracker.key_names()[id]; }),
-              Partition(batch, [&](uint32_t id) { return ttkv.key_name(id); }));
-  };
-  expect_batch_partition();
-
-  for (int i = 0; i < 1000; ++i) write(i % 2 ? "k1" : "k7", Seconds(120) + i * 1000);
-  EXPECT_EQ(tracker.group_count(), 1u);
-  EXPECT_EQ(tracker.open_group_size(), 2u);
-  expect_batch_partition();
-}
-
-TEST(OnlineTracker, RejectsOutOfOrderEvents) {
-  OnlineClusterTracker tracker;
-  AccessEvent event;
-  event.key = "k";
-  event.op = AccessOp::kWrite;
-  event.timestamp = Seconds(100);
-  tracker.OnAccess(event);
-  event.timestamp = Seconds(50);
-  EXPECT_THROW(tracker.OnAccess(event), Error);
-}
-
-TEST(OnlineTracker, IgnoresReads) {
-  OnlineClusterTracker tracker;
-  AccessEvent event;
-  event.key = "k";
-  event.op = AccessOp::kRead;
-  tracker.OnAccess(event);
-  EXPECT_EQ(tracker.num_keys(), 0u);
-}
-
-TEST(OnlineTracker, OpenBurstIncludedInQuery) {
-  OnlineClusterTracker tracker;
-  AccessEvent a;
-  a.op = AccessOp::kWrite;
-  a.key = "x";
-  a.timestamp = Seconds(10);
-  tracker.OnAccess(a);
-  a.key = "y";
-  a.timestamp = Seconds(10) + 500'000;  // Same burst (quantised to same second).
-  tracker.OnAccess(a);
-  // No gap has closed the burst yet, but ClusterNow must still see it.
-  const ClusterSet clusters = tracker.ClusterNow(2.0);
-  EXPECT_EQ(clusters.multi_cluster_count(), 1u);
-  EXPECT_EQ(tracker.group_count(), 0u);  // Still uncommitted.
-}
 
 // ----- Failure injection: corrupted artifacts ---------------------------------------
 

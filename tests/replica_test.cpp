@@ -304,9 +304,9 @@ TEST(ReplicaTest, BootstrapsFromSnapshotWhenLeaderLogIsTruncated) {
   // the follower reports lifetime totals, not zero.
   EXPECT_EQ(api::Stats(follower.engine()).puts, expected_puts);
 
-  // Leader recovery and follower bootstrap both rebuild the cluster
-  // tracker from the snapshot's history, so CLUSTER_NOW agrees and sees
-  // the seed writes (1 s apart: one co-modification burst).
+  // CLUSTER_NOW clusters the stored history, which leader recovery and
+  // follower bootstrap both restore from the snapshot, so the two agree
+  // and see the seed writes (1 s apart: one co-modification burst).
   const auto sorted_keys = [](TtkvServer& server) {
     std::vector<std::vector<std::string>> clusters;
     for (NamedCluster& cluster : api::ClusterNow(server.engine(), 1.5)) {

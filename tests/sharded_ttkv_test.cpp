@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <span>
 #include <thread>
 #include <vector>
@@ -136,6 +137,31 @@ TEST(ShardedTtkv, RejectsEmptyKeysAndZeroShards) {
   ShardedTtkv engine(2);
   EXPECT_THROW(api::Put(engine, "", Value(1)), StoreError);
   EXPECT_THROW(api::Delete(engine, ""), StoreError);
+}
+
+TEST(ShardedTtkv, RejectsNegativeClusterWindowAtConstruction) {
+  // A bad window fails before a daemon serves, not at the first CLUSTER_NOW.
+  EXPECT_THROW(ShardedTtkv(4, -1.0), Error);
+  EXPECT_NO_THROW(ShardedTtkv(4, 0.0));
+}
+
+TEST(ShardedTtkv, ImportOfOneBurstHistoryIsFast) {
+  // 4,000 keys written 10 us apart (one co-modification burst), each
+  // rewritten 1,000 s later. Restoring does no clustering work, so it is
+  // linear in the history; clustering a burst of N keys is O(N^2).
+  TTKV history;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string key = "burst/k" + std::to_string(i);
+    history.record_write(key, Value(i), Seconds(1) + 10 * i);
+    history.record_write(key, Value(i + 1), Seconds(1001) + 10 * i);
+  }
+  ShardedTtkv engine(4);
+  const auto start = std::chrono::steady_clock::now();
+  engine.ImportSnapshot(history);
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), 5.0);
+  EXPECT_EQ(engine.Stats().ttkv.num_keys, 4000u);
+  EXPECT_EQ(api::Get(engine, "burst/k3999"), Value(4000));
 }
 
 // --- Concurrency ------------------------------------------------------------

@@ -2,9 +2,9 @@
 //
 // One plain TTKV applying the Command vocabulary strictly in order, written
 // from the command semantics in api/command.h rather than from the engine
-// code: no shards, no locks, no stamp clock, no metrics, no cluster
-// tracker. It applies the same delete policy (a non-forced delete of an
-// absent or tombstoned key records nothing), the same per-key timestamp
+// code: no shards, no locks, no stamp clock, no metrics. It applies the
+// same delete policy (a non-forced delete of an absent or tombstoned key
+// records nothing), the same per-key timestamp
 // clamping and the same compaction as the engines under test, so the two
 // can only disagree when one of them is wrong. Mutations must carry
 // explicit timestamps — there is no clock to stamp timestamp-0 writes, so

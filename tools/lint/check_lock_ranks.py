@@ -4,16 +4,20 @@
 src/common/lockdep.h declares one `LockClass` per project mutex, each
 with a unique acquisition rank, and docs/TOOLING.md carries the human-
 readable rank table that explains WHY each lock sits where it does.
-Two project invariants keep that system trustworthy:
+Three project invariants keep that system trustworthy:
 
   1. Ranks are unique (rank 0, kUnranked, is the explicit opt-out) — a
      duplicate rank silently disables the order check between two locks.
   2. The doc table and the source agree — a lock added or re-ranked in
      code without its rationale row is undocumented policy.
+  3. Every class guards a real lock — a class that no ordered_mutex /
+     ordered_shared_mutex under src/ is constructed with documents an
+     ordering the program no longer has.
 
-This linter parses both and fails on: duplicate source ranks, source
+This linter parses the header, the doc table and src/, and fails on: duplicate source ranks, source
 classes missing from the doc table, doc rows naming no source class
-(stale docs), and rank mismatches between the two.
+(stale docs), rank mismatches between the two, and classes no lock under
+src/ instantiates.
 
 Exit codes: 0 = consistent, 1 = violation, 2 = parse error (a pattern
 that stops matching must fail loudly, not vacuously pass).
@@ -30,12 +34,15 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 DEFAULT_LOCKDEP = REPO_ROOT / "src" / "common" / "lockdep.h"
 DEFAULT_DOC = REPO_ROOT / "docs" / "TOOLING.md"
+DEFAULT_SRC = REPO_ROOT / "src"
 
 CLASS_RE = re.compile(
     r'inline\s+constexpr\s+LockClass\s+(k\w+)\s*\{\s*"([^"]+)"\s*,\s*(\w+)\s*\}\s*;'
 )
 # Doc table row: | <rank> | `<lock name>` | rationale |
 DOC_ROW_RE = re.compile(r"^\|\s*(\d+)\s*\|\s*`([^`]+)`\s*\|")
+# A lock constructed with a class: ordered_[shared_]mutex name{lockdep::kX}
+INSTANCE_RE = re.compile(r"\bordered_(?:shared_)?mutex\s+\w+\s*\{\s*(?:lockdep::)?(k\w+)\s*\}")
 
 
 def fail_parse(msg):
@@ -78,6 +85,18 @@ def parse_doc(path):
     return rows
 
 
+def parse_instances(src_root, lockdep_path):
+    used = set()
+    for path in sorted(Path(src_root).rglob("*")):
+        if path.suffix not in (".h", ".cpp") or path.resolve() == Path(lockdep_path).resolve():
+            continue
+        code = re.sub(r"//[^\n]*", "", path.read_text())
+        used.update(m.group(1) for m in INSTANCE_RE.finditer(code))
+    if not used:
+        fail_parse(f"no 'ordered_mutex name{{kClass}}' locks found under {src_root}")
+    return used
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--lockdep", default=str(DEFAULT_LOCKDEP))
@@ -86,6 +105,7 @@ def main():
 
     classes = parse_lockdep(args.lockdep)
     doc = parse_doc(args.doc)
+    used = parse_instances(DEFAULT_SRC, args.lockdep)
 
     problems = []
 
@@ -124,6 +144,14 @@ def main():
                 f"but lockdep.h declares no such LockClass"
             )
 
+    # 5. Classes no lock under src/ is constructed with.
+    for const, (name, rank) in sorted(classes.items()):
+        if const not in used:
+            problems.append(
+                f"UNUSED CLASS: {const} ({name}, rank {rank}) guards no lock "
+                f"under src/ — delete it and its TOOLING.md row"
+            )
+
     if problems:
         print(
             f"check_lock_ranks: rank table inconsistent "
@@ -135,7 +163,10 @@ def main():
         return 1
 
     ranked = sum(1 for _, r in classes.values() if r != 0)
-    print(f"check_lock_ranks: OK ({ranked} ranked classes, doc table consistent)")
+    print(
+        f"check_lock_ranks: OK ({ranked} ranked classes, doc table consistent, "
+        f"every class instantiated)"
+    )
     return 0
 
 
